@@ -20,7 +20,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, det, inverse, kernel_basis, rref, solve
+from .exactla import Matrix, SubspaceBasis, _solve, det, inverse, kernel_basis, rref, solve
 
 __all__ = [
     "EigDecomposition",
@@ -196,16 +196,19 @@ class GramForm:
         return sum(a * b for a, b in zip(x.coords, gv))
 
     def is_invariant(self) -> bool:
-        """(xy, z) = (x, yz) on all basis triples."""
+        """(xy, z) = (x, yz) on all basis triples.
+
+        With gc[i][j][k] = (e_i e_j, e_k) = sum_l c[i][j][l] G[l][k], the
+        symmetry of G makes (e_i, e_j e_k) = gc[j][k][i].
+        """
         A = self.algebra
-        basis = A.basis_elements()
-        prods = [[multiply(basis[i], basis[j]) for j in range(A.dim)] for i in range(A.dim)]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                for k in range(j, A.dim):
-                    if self.value(prods[i][j], basis[k]) != self.value(basis[i], prods[j][k]):
-                        return False
-        return True
+        n = A.dim
+        g = self.gram.entries()
+        gc = [[[sum(c * g[l][k] for l, c in terms) for k in range(n)]
+               for terms in ([(l, c) for l, c in enumerate(cij) if c] for cij in plane)]
+              for plane in A.structure]
+        return all(gc[i][j][k] == gc[j][k][i]
+                   for i in range(n) for j in range(n) for k in range(j, n))
 
     def __eq__(self, other):
         return (isinstance(other, GramForm) and self.algebra is other.algebra
@@ -301,10 +304,9 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
         rows.append(row)
         rhs.append(Fraction(1))
     m = Matrix(rows) if rows else Matrix.zero(0, nun)
-    x = solve(m, rhs)
+    x, free_dim = _solve(m, rhs)
     if x is None:
         raise Inconsistent("no invariant normalized form exists for these axes")
-    free_dim = kernel_basis(m).dim
     gram = Matrix([[x[gidx(i, j)] for j in range(n)] for i in range(n)])
     return GramForm(A, gram), free_dim
 

@@ -152,7 +152,12 @@ def _generators(af: AlgebraFile, spec: Optional[str]) -> list[Element]:
     A = af.algebra
     if spec is not None:
         axes = list(A.designated_axes)
-        gens = [axes[int(i)] for i in spec.split(",")]
+        indices = [int(i) for i in spec.split(",")]
+        bad = [i for i in indices if not 0 <= i < len(axes)]
+        if bad:
+            raise ParseError(f"generator indices {bad} out of range: the file has "
+                             f"{len(axes)} axes")
+        gens = [axes[i] for i in indices]
     elif af.generators is not None:
         gens = [Element(A, g) for g in af.generators]
     else:
@@ -361,8 +366,8 @@ def run_command(argv: Sequence[str]) -> tuple[Report, int]:
         elif command == "capacity":
             af = _load(args.file)
             A = af.algebra
-            g, _ = gram_for(A)
             gens = _generators(af, args.generators)
+            g, _ = gram_for(A)
             e = find_unit(A)
             if e is None:
                 raise AxialError("the algebra has no unit")
@@ -421,7 +426,7 @@ def run_command(argv: Sequence[str]) -> tuple[Report, int]:
             }
             report.status = "pass" if rep.is_primitive_axis and rep.fusion_ok else "fail"
 
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         report.status = "error"
         report.message = str(exc)
         return report, 2

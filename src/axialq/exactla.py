@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout; there is no floating point
-anywhere in the package.  Matrices and subspace bases are immutable after
+Scalars cross the API as ``fractions.Fraction``; elimination runs on
+Python ints inside ``rref``.  There is no floating point anywhere in the
+package.  Matrices and subspace bases are immutable after
 construction, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -55,6 +57,13 @@ class Matrix:
         self.rows = len(rows)
         self.cols = cols
         self._e = rows
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[Vector, ...], cols: int) -> "Matrix":
+        """Wrap rows already known to be equal-length tuples of Fractions."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._e = len(rows), cols, rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -138,32 +147,58 @@ class RrefResult:
         return iter((self.reduced, self.pivot_columns, self.rank))
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled to coprime integers (positive multiple, same span)."""
+    d = lcm(*(a.denominator for a in row))
+    ints = [a.numerator * (d // a.denominator) for a in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form with pivot columns and rank."""
-    rows = [list(r) for r in m.entries()]
+    """Unique reduced row echelon form with pivot columns and rank.
+
+    Fraction-free Gauss-Jordan elimination: every row is scaled to
+    integers, each elimination step combines a row with the pivot row
+    using cofactors reduced by their gcd, and the row's content is
+    divided out afterwards, so entries stay small.  Fractions are built
+    only for the final, canonical reduced rows.
+    """
+    rows = [_integer_row(r) for r in m.entries()]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if a and i != r:
+                g = gcd(a, p)
+                pg, ag = p // g, a // g
+                row = [pg * x - ag * y for x, y in zip(rows[i], prow)]
+                h = gcd(*row)
+                rows[i] = [x // h for x in row] if h > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return RrefResult(Matrix(rows), pivots)
+    zero, one = Fraction(0), Fraction(1)
+    reduced = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        reduced.append(tuple(zero if not a else one if a == p else Fraction(a, p)
+                             for a in row))
+    reduced += [(zero,) * ncols] * (nrows - len(pivots))
+    return RrefResult(Matrix._from_rows(tuple(reduced), ncols), pivots)
 
 
 class SubspaceBasis:
@@ -278,18 +313,23 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
     When the solution space is positive-dimensional the free variables are
     set to zero, so the result is deterministic.
     """
+    return _solve(m, rhs)[0]
+
+
+def _solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
+    """``solve(m, rhs)`` and the nullity of m, from one elimination."""
     rhs = vec(rhs)
     if len(rhs) != m.rows:
         raise ValueError("rhs length != number of rows")
-    aug = Matrix([list(r) + [b] for r, b in zip(m.entries(), rhs)]) \
-        if m.cols > 0 else Matrix([[b] for b in rhs])
-    reduced, pivots, _ = rref(aug)
+    aug = Matrix._from_rows(tuple(r + (b,) for r, b in zip(m.entries(), rhs)), m.cols + 1)
+    res = rref(aug)
+    pivots = res.pivot_columns
     if m.cols in pivots:
-        return None  # pivot in the rhs column: inconsistent
+        return None, m.cols - res.rank + 1  # pivot in the rhs column: inconsistent
     x = [Fraction(0)] * m.cols
     for r, p in enumerate(pivots):
-        x[p] = reduced[r, m.cols]
-    return tuple(x)
+        x[p] = res.reduced[r, m.cols]
+    return tuple(x), m.cols - res.rank
 
 
 def det(m: Matrix) -> Fraction:

@@ -162,6 +162,12 @@ def test_jordan_identity_positive_and_negative():
         [[z, z], [F(1), z]],
     ])
     assert not jordan_identity_check(bad)
+    # the same shape with denominators: x*x = y/2, y*y = x/3
+    bad = make_algebra(2, ["x", "y"], [
+        [[z, F(1, 2)], [z, z]],
+        [[z, z], [F(1, 3), z]],
+    ])
+    assert not jordan_identity_check(bad)
 
 
 @settings(max_examples=30, deadline=None)

@@ -27,6 +27,7 @@ from axialq.errors import (
     NotPrimitiveAxis,
     NotSpanning,
 )
+from axialq.constructions import matsuo, sn_transpositions
 from axialq.exactla import Matrix
 
 from conftest import by_name, circle_axes, registry
@@ -132,6 +133,33 @@ def test_form_is_symmetric_invariant_normalized(algebras):
         assert g.is_invariant(), info.name
         for a in info.A.designated_axes:
             assert g.value(a, a) == 1
+
+
+def test_is_invariant_rejects_perturbed_matsuo_gram():
+    A, predicted = matsuo(sn_transpositions(4))
+    assert GramForm(A, predicted).is_invariant()
+    entries = [list(r) for r in predicted.entries()]
+    i, j = next((i, j) for i in range(A.dim) for j in range(i + 1, A.dim)
+                if entries[i][j] == F(1, 4))
+    entries[i][j] = entries[j][i] = F(1, 3)
+    assert not GramForm(A, Matrix(entries)).is_invariant()
+
+
+def test_frobenius_solve_free_dim_of_unnormalized_summand():
+    from axialq import make_algebra
+    z = F(0)
+    # Q + Q: e*e = e, f*f = f, e*f = 0; only e's normalization fixes (e, e)
+    A = make_algebra(2, ["e", "f"], [
+        [[F(1), z], [z, z]],
+        [[z, z], [z, F(1)]],
+    ])
+    e, f = A.basis_element(0), A.basis_element(1)
+    g, free = frobenius_solve(A, [e])
+    assert free == 1
+    assert g.gram == Matrix([[F(1), z], [z, z]])  # the free (f, f) is set to 0
+    g, free = frobenius_solve(A, [e, f])
+    assert free == 0
+    assert g.gram == Matrix.identity(2)
 
 
 def test_frobenius_projection_rejects_non_spanning():

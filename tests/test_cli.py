@@ -218,6 +218,21 @@ def test_exit_code_error_paths(tmp_path):
     assert code == 2 and report.status == "error"
 
 
+def test_exit_code_error_on_directory_and_generator_index(tmp_path, capsys):
+    # a directory where a file is expected
+    report, code = run_command(["analyze", str(tmp_path)])
+    assert code == 2 and report.status == "error"
+    # generator indices outside the axes list, negative ones included
+    path = _write_s3(tmp_path)
+    for spec in ["99", "-1", "0,3"]:
+        report, code = run_command(["capacity", path, "--generators", spec])
+        assert code == 2 and report.status == "error", spec
+        assert "out of range" in report.message
+    # the report reaches stdout as JSON
+    assert main(["capacity", path, "--generators", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
 def test_exit_code_fail_path(tmp_path):
     # Q x Q with the non-primitive idempotent p + q designated as an axis:
     # analyze completes but flags the axis, so the status is fail (exit 1)

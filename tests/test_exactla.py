@@ -140,3 +140,90 @@ def test_kernel_vectors_annihilated(m):
                        min_size=n, max_size=n).map(Matrix)))
 def test_det_zero_iff_singular(m):
     assert (det(m) == 0) == (rref(m).rank < m.cols)
+
+
+# --- differential tests against sympy ------------------------------------------
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+mixed = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def oracle_matrices(draw, max_n=5, square=False):
+    """Matrices with mixed denominators, zero rows and dependent rows.
+
+    Shapes include 0 x 0 and r x 0 (a matrix without rows has no columns).
+    """
+    nrows = draw(st.integers(0, max_n))
+    ncols = nrows if square else draw(st.integers(0, max_n))
+    rows: list[list[Fraction]] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "fresh":
+            rows.append(draw(st.lists(mixed, min_size=ncols, max_size=ncols)))
+        elif kind == "combination" and rows:
+            u, w = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(mixed), draw(mixed)
+            rows.append([s * a + t * b for a, b in zip(u, w)])
+        else:
+            rows.append([F(0)] * ncols)
+    return Matrix(rows)
+
+
+def to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(a.numerator, a.denominator)
+                         for row in m.entries() for a in row])
+
+
+def from_sympy(s):
+    return [[F(int(x.p), int(x.q)) for x in s.row(i)] for i in range(s.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices())
+def test_rref_and_kernel_match_sympy(sympy, m):
+    s = to_sympy(sympy, m)
+    reduced, pivots = s.rref()
+    ours = rref(m)
+    assert [list(r) for r in ours.reduced.entries()] == from_sympy(reduced)
+    assert ours.pivot_columns == list(pivots)
+    ker = kernel_basis(m)
+    assert ker.dim == len(s.nullspace())
+    for v in ker.vectors:
+        assert (s * to_sympy(sympy, Matrix([v]).transpose())).is_zero_matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_solve_matches_sympy(sympy, m, data):
+    s = to_sympy(sympy, m)
+    x0 = data.draw(st.lists(mixed, min_size=m.cols, max_size=m.cols))
+    free = data.draw(st.lists(mixed, min_size=m.rows, max_size=m.rows))
+    for rhs in (m.apply(x0), free):
+        b = to_sympy(sympy, Matrix([rhs]).transpose()) if m.rows \
+            else sympy.Matrix(0, 1, [])
+        consistent = s.rank() == s.row_join(b).rank()
+        x = solve(m, rhs)
+        assert (x is not None) == consistent
+        if x is not None:
+            xs = to_sympy(sympy, Matrix([x]).transpose()) if m.cols \
+                else sympy.Matrix(0, 1, [])
+            assert s * xs == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_matrices(square=True))
+def test_det_and_inverse_match_sympy(sympy, m):
+    s = to_sympy(sympy, m)
+    d = s.det()
+    assert det(m) == F(int(d.p), int(d.q))
+    if d == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert [list(r) for r in inverse(m).entries()] == from_sympy(s.inv())

@@ -27,6 +27,7 @@ from .axial import (
     miyamoto,
     peirce_components,
     positive_definite_check,
+    primitive_decomposition,
     quasi_definite_basis_check,
     radical,
 )

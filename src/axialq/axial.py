@@ -2,6 +2,7 @@
 
 Everything is exact; a "check" either returns booleans or raises one of
 the errors in :mod:`axialq.errors` when a precondition is violated.
+``eigendecompose`` alone builds Peirce data; callers pass it on.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "FusionReport",
     "GramForm",
     "eigendecompose",
+    "primitive_decomposition",
     "check_axis",
     "check_fusion",
     "miyamoto",
@@ -85,12 +87,6 @@ class FusionReport:
         return (self.zero_square and self.half_square
                 and self.even_times_half and self.zero_times_one)
 
-    @property
-    def z2_graded(self) -> bool:
-        # even part closed, odd*odd even, even*odd odd
-        return self.zero_square and self.zero_times_one \
-            and self.half_square and self.even_times_half
-
 
 def eigendecompose(e: Element) -> EigDecomposition:
     """Exact kernels of (ad_e - lambda I) for lambda in {0, 1/2, 1}."""
@@ -109,11 +105,23 @@ def eigendecompose(e: Element) -> EigDecomposition:
                             v1=eigenspace(Fraction(1)))
 
 
+def primitive_decomposition(a: Element) -> EigDecomposition:
+    """The Peirce decomposition of the primitive axis a: the primitivity test.
+
+    Raises NotIdempotent or, for an idempotent that is not, NotPrimitiveAxis.
+    """
+    dec = eigendecompose(a)
+    if not dec.semisimple or dec.v1.dim != 1:
+        raise NotPrimitiveAxis(f"{a!r} is not a primitive axis")
+    return dec
+
+
 def check_axis(e: Element) -> AxisReport:
     """Full axis report: idempotency, spectrum, semisimplicity, primitivity, fusion."""
-    if not e.is_idempotent():
+    try:
+        dec = eigendecompose(e)
+    except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
-    dec = eigendecompose(e)
     ad = ad_matrix(e)
     n = e.algebra.dim
     ident = Matrix.identity(n)
@@ -173,8 +181,8 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
     if coords is None:
         raise InvariantViolation("element does not decompose along the eigenspaces")
     d0, dh = dec.v0.dim, dec.v_half.dim
-    x0 = Element(A, dec.v0.lift(coords[:d0])) if d0 else A.zero()
-    xh = Element(A, dec.v_half.lift(coords[d0:d0 + dh])) if dh else A.zero()
+    x0 = Element(A, dec.v0.lift(coords[:d0]))
+    xh = Element(A, dec.v_half.lift(coords[d0:d0 + dh]))
     return x0, xh, coords[d0 + dh]
 
 
@@ -228,21 +236,15 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     """
     decs = []
     for a in spanning_axes:
-        rep = check_axis(a)
-        if not rep.is_primitive_axis:
-            raise NotPrimitiveAxis(f"{a!r} is not a primitive axis")
-        decs.append(rep.decomposition)
+        try:
+            decs.append(primitive_decomposition(a))
+        except NotIdempotent:
+            raise NotPrimitiveAxis(f"{a!r} is not a primitive axis") from None
     p = Matrix([a.coords for a in spanning_axes])
     if rref(p).rank != A.dim:
         raise NotSpanning("the given axes do not span the algebra")
-    f_rows = []
-    for a, dec in zip(spanning_axes, decs):
-        row = []
-        for j in range(A.dim):
-            _, _, alpha = peirce_components(dec, A.basis_element(j))
-            row.append(alpha)
-        f_rows.append(row)
-    f = Matrix(f_rows)
+    f = Matrix([[peirce_components(dec, A.basis_element(j))[2] for j in range(A.dim)]
+                for dec in decs])
     g_cols = []
     for k in range(A.dim):
         col = solve(p, f.col(k))
@@ -337,9 +339,12 @@ def quasi_definite_basis_check(
     if rref(Matrix([x.coords for x in X])).rank != len(X):
         raise NotBasisOfAxes("axes are linearly dependent")
     for x in X:
-        rep = check_axis(x)
-        if not (rep.is_idempotent and rep.semisimple):
-            raise NotBasisOfAxes(f"{x!r} is not an axis")
+        try:
+            if eigendecompose(x).semisimple:
+                continue
+        except NotIdempotent:
+            pass
+        raise NotBasisOfAxes(f"{x!r} is not an axis")
     for i in range(len(X)):
         for j in range(i + 1, len(X)):
             val = g.value(X[i], X[j])

@@ -11,7 +11,6 @@ import itertools
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constructions
@@ -27,10 +26,9 @@ from .axial import (
     check_axis,
     frobenius_projection,
     frobenius_solve,
-    is_semisimple,
     radical,
 )
-from .errors import AxialError, NotPrimitiveAxis, NotSpanning, ParseError
+from .errors import AxialError, ParseError
 from .exactla import Matrix, rref
 from .fileio import AlgebraFile, Report, atomic_write, format_rational, parse_rational
 from .jordanhalf import (
@@ -234,18 +232,26 @@ def _seed(args) -> int:
     return DEFAULT_SEED
 
 
+def _count(value, option: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise ParseError(f"{option} must be a nonnegative count, got {n}")
+    return n
+
+
 def _cmd_verify(af: AlgebraFile, args) -> tuple[dict, bool]:
+    pair_count = None if args.pairs == "all" else _count(args.pairs, "--pairs")
+    triple_count = _count(args.triples, "--triples")
     A = af.algebra
     g, _ = gram_for(A)
     axes = list(A.designated_axes)
     seed = _seed(args)
     rng = random.Random(seed)
     all_pairs = list(itertools.combinations(range(len(axes)), 2))
-    if args.pairs == "all":
+    if pair_count is None:
         pairs = all_pairs
     else:
-        n = int(args.pairs)
-        pairs = [rng.choice(all_pairs) for _ in range(n)] if all_pairs else []
+        pairs = [rng.choice(all_pairs) for _ in range(pair_count)] if all_pairs else []
     results = []
     ok = True
     for (i, j) in pairs:
@@ -254,9 +260,9 @@ def _cmd_verify(af: AlgebraFile, args) -> tuple[dict, bool]:
                         "all_ok": rep.all_ok})
         ok = ok and rep.all_ok
     triples = []
-    if args.triples:
+    if triple_count:
         all_triples = list(itertools.permutations(range(len(axes)), 3))
-        for _ in range(int(args.triples)):
+        for _ in range(triple_count):
             if not all_triples:
                 break
             (i, j, k) = rng.choice(all_triples)

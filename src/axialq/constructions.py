@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algcore import Algebra, Element, find_unit, make_algebra, multiply
+from .algcore import Algebra, Element, find_unit, make_algebra
+from .axial import HALF
 from .errors import (
     BadProductOrder,
     ConjugacyClosureError,
@@ -18,7 +19,7 @@ from .errors import (
     InvariantViolation,
     NotInvolution,
 )
-from .exactla import Matrix, SubspaceBasis, rref, solve, vec
+from .exactla import Matrix, rref, solve, vec
 
 __all__ = [
     "Permutation",
@@ -33,8 +34,6 @@ __all__ = [
     "two_gen_algebra",
     "hn_prime_matsuo_isomorphism_check",
 ]
-
-HALF = Fraction(1, 2)
 
 
 class Permutation:
@@ -316,6 +315,18 @@ def sym_jordan(n: int) -> Algebra:
     return make_algebra(dim, names, structure, axes)
 
 
+def _hn_prime_axes(n: int) -> list[Matrix]:
+    """The matrices a_ij = (e_i - e_j)(e_i - e_j)^T / 2 for i < j, in order."""
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            m[i][i] = m[j][j] = HALF
+            m[i][j] = m[j][i] = -HALF
+            mats.append(Matrix(m))
+    return mats
+
+
 def sym_jordan_prime(n: int) -> Algebra:
     """Zero-row-sum symmetric matrices under the symmetrized product.
 
@@ -324,18 +335,8 @@ def sym_jordan_prime(n: int) -> Algebra:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    dim = len(idx_pairs)
-
-    def axis_matrix(i, j):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = HALF
-        m[j][j] = HALF
-        m[i][j] = -HALF
-        m[j][i] = -HALF
-        return Matrix(m)
-
-    mats = [axis_matrix(i, j) for i, j in idx_pairs]
+    mats = _hn_prime_axes(n)
+    dim = len(mats)
     flat = Matrix([[m[i, j] for i in range(n) for j in range(n)] for m in mats])
     structure = []
     for a in mats:
@@ -347,7 +348,7 @@ def sym_jordan_prime(n: int) -> Algebra:
                 raise InvariantViolation("product left the zero-row-sum subspace")
             plane.append(coords)
         structure.append(plane)
-    names = [f"a{i + 1}{j + 1}" for i, j in idx_pairs]
+    names = [f"a{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
     axes = [[Fraction(1) if k == t else Fraction(0) for k in range(dim)]
             for t in range(dim)]
     return make_algebra(dim, names, structure, axes)
@@ -449,17 +450,7 @@ def hn_prime_matsuo_isomorphism_check(
                 if H.structure[i][j][k] != M.structure[corr[i]][corr[j]][corr[k]]:
                     return False
     # trace Gram of H_n' vs the predicted Matsuo Gram
-    idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def axis_matrix(i, j):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = HALF
-        m[j][j] = HALF
-        m[i][j] = -HALF
-        m[j][i] = -HALF
-        return Matrix(m)
-
-    mats = [axis_matrix(i, j) for i, j in idx_pairs]
+    mats = _hn_prime_axes(n)
     for i in range(dim):
         for j in range(dim):
             tr = sum((mats[i] @ mats[j])[k, k] for k in range(n))

@@ -143,9 +143,6 @@ class RrefResult:
         self.pivot_columns = pivot_columns
         self.rank = len(pivot_columns)
 
-    def __iter__(self):
-        return iter((self.reduced, self.pivot_columns, self.rank))
-
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row scaled to coprime integers (positive multiple, same span)."""
@@ -205,20 +202,22 @@ class SubspaceBasis:
     """A subspace of Q^n, canonicalized to RREF row vectors.
 
     Two equal subspaces always have identical representations, so ``==``
-    is subspace equality.
+    is subspace equality.  Row i has a 1 at column ``pivots[i]``, where
+    every other row is 0.
     """
 
-    __slots__ = ("ambient_dim", "vectors")
+    __slots__ = ("ambient_dim", "vectors", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence]):
         self.ambient_dim = ambient_dim
         vs = [vec(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vs):
             raise ValueError("vector length != ambient dimension")
+        self.vectors, self.pivots = (), ()
         if vs:
-            reduced = rref(Matrix(vs)).reduced
-            vs = [r for r in reduced.entries() if any(a != 0 for a in r)]
-        self.vectors = tuple(vs)
+            res = rref(Matrix(vs))
+            self.vectors = res.reduced.entries()[:res.rank]
+            self.pivots = tuple(res.pivot_columns)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -239,12 +238,15 @@ class SubspaceBasis:
         return self.coords_of(v) is not None
 
     def coords_of(self, v: Sequence) -> Optional[Vector]:
-        """Coordinates of v in this basis, or None if v is outside."""
+        """Coordinates of v in this basis, or None if v is outside.
+
+        They can only be v's entries at the pivot columns; one ``lift`` checks them.
+        """
         v = vec(v)
-        if self.dim == 0:
-            return () if all(a == 0 for a in v) else None
-        bt = Matrix(self.vectors).transpose()
-        return solve(bt, v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        coords = tuple(v[p] for p in self.pivots)
+        return coords if self.lift(coords) == v else None
 
     def lift(self, coords: Sequence) -> Vector:
         """The ambient vector with the given coordinates in this basis."""
@@ -253,8 +255,10 @@ class SubspaceBasis:
             raise ValueError("coordinate length != subspace dimension")
         out = [Fraction(0)] * self.ambient_dim
         for c, b in zip(coords, self.vectors):
-            for k in range(self.ambient_dim):
-                out[k] += c * b[k]
+            if c:
+                for k, a in enumerate(b):
+                    if a:
+                        out[k] += c * a
         return tuple(out)
 
     def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
@@ -271,15 +275,8 @@ class SubspaceBasis:
         # columns: coefficients on self.vectors then on other.vectors
         cols = [list(v) for v in self.vectors] + [[-a for a in v] for v in other.vectors]
         stacked = Matrix(cols).transpose()
-        out = []
-        for k in kernel_basis(stacked).vectors:
-            coeffs = k[: self.dim]
-            w = [Fraction(0)] * self.ambient_dim
-            for c, b in zip(coeffs, self.vectors):
-                for i in range(self.ambient_dim):
-                    w[i] += c * b[i]
-            out.append(w)
-        return SubspaceBasis(self.ambient_dim, out)
+        return SubspaceBasis(self.ambient_dim, [self.lift(k[:self.dim])
+                                                for k in kernel_basis(stacked).vectors])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubspaceBasis)
@@ -295,14 +292,15 @@ class SubspaceBasis:
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of the right null space of m."""
-    reduced, pivots, rank = rref(m)
+    res = rref(m)
+    pivots = res.pivot_columns
     free = [c for c in range(m.cols) if c not in pivots]
     out = []
     for f in free:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced[r, f]
+            v[p] = -res.reduced[r, f]
         out.append(v)
     return SubspaceBasis(m.cols, out)
 
@@ -367,7 +365,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     aug = Matrix([list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
                   for i, r in enumerate(m.entries())])
-    reduced, pivots, rank = rref(aug)
-    if rank < n or pivots != list(range(n)):
+    res = rref(aug)
+    if res.pivot_columns != list(range(n)):
         raise ValueError("singular matrix")
-    return Matrix([r[n:] for r in reduced.entries()])
+    return Matrix([r[n:] for r in res.reduced.entries()])

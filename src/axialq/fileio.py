@@ -21,14 +21,12 @@ __all__ = [
     "Report",
     "parse_rational",
     "format_rational",
-    "parse_algebra_file",
-    "serialize_algebra",
     "atomic_write",
 ]
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"rational must be a string or integer, got {type(s).__name__}")
@@ -43,6 +41,18 @@ def parse_rational(s) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(q)
+
+
+def _vector(value, dim: int, what: str) -> list[Fraction]:
+    if not isinstance(value, list) or len(value) != dim:
+        raise ParseError(f"each of {what} must be a list of {dim} rationals")
+    return [parse_rational(c) for c in value]
+
+
+def _vectors(value, dim: int, what: str) -> list[list[Fraction]]:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of vectors, got {type(value).__name__}")
+    return [_vector(v, dim, what) for v in value]
 
 
 @dataclass
@@ -76,29 +86,30 @@ class AlgebraFile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlgebraFile":
+        """Validate the schema, types included, and build the algebra."""
+        if not isinstance(d, dict):
+            raise ParseError("top-level JSON value must be an object")
         try:
-            name = d["name"]
-            dim = d["dimension"]
-            basis = d["basis"]
-            table = d["table"]
-            axes = d.get("axes", [])
-        except (KeyError, TypeError) as exc:
+            name, dim, basis, table = d["name"], d["dimension"], d["basis"], d["table"]
+        except KeyError as exc:
             raise ParseError(f"missing field: {exc}") from None
-        if not isinstance(dim, int) or dim < 0:
+        if not isinstance(name, str):
+            raise ParseError("name must be a string")
+        if type(dim) is not int or dim < 0:
             raise ParseError("dimension must be a nonnegative integer")
+        if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+            raise ParseError("basis must be a list of names")
         if len(basis) != dim:
             raise ParseError("basis name count != dimension")
-        if len(table) != dim or any(len(row) != dim for row in table) \
-                or any(len(cell) != dim for row in table for cell in row):
+        if not isinstance(table, list) or len(table) != dim \
+                or not all(isinstance(row, list) and len(row) == dim for row in table):
             raise ParseError("table must be a dim x dim grid of dim-vectors")
-        structure = [[[parse_rational(c) for c in cell] for cell in row] for row in table]
-        axes_q = [[parse_rational(c) for c in a] for a in axes]
-        algebra = make_algebra(dim, basis, structure, axes_q)
+        structure = [[_vector(cell, dim, "the table cells") for cell in row] for row in table]
+        axes = _vectors(d.get("axes", []), dim, "axes")
+        algebra = make_algebra(dim, basis, structure, axes)
         gens = None
         if "generators" in d:
-            gens = [tuple(parse_rational(c) for c in g) for g in d["generators"]]
-            if any(len(g) != dim for g in gens):
-                raise ParseError("generator length != dimension")
+            gens = [tuple(g) for g in _vectors(d["generators"], dim, "generators")]
         return cls(name=name, algebra=algebra, generators=gens)
 
     def to_json(self) -> str:
@@ -110,19 +121,7 @@ class AlgebraFile:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from None
-        if not isinstance(d, dict):
-            raise ParseError("top-level JSON value must be an object")
         return cls.from_dict(d)
-
-
-def parse_algebra_file(text: str) -> Algebra:
-    """Parse JSON text into a validated algebra."""
-    return AlgebraFile.from_json(text).algebra
-
-
-def serialize_algebra(A: Algebra, name: str = "algebra",
-                      generators=None) -> str:
-    return AlgebraFile.from_algebra(name, A, generators).to_json()
 
 
 @dataclass

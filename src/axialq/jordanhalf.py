@@ -7,7 +7,7 @@ and the capacity decomposition of the unit into pairwise orthogonal axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -15,18 +15,18 @@ from .algcore import (
     Algebra,
     Element,
     Word,
-    ad_matrix,
     find_unit,
     multiply,
     restrict_to_subspace,
     subalgebra_closure,
 )
 from .axial import (
+    HALF,
     EigDecomposition,
     GramForm,
-    check_axis,
     eigendecompose,
     peirce_components,
+    primitive_decomposition,
     quasi_definite_basis_check,
     radical,
 )
@@ -34,6 +34,7 @@ from .errors import (
     DegenerateDenominator,
     FormValueOne,
     InvariantViolation,
+    NotIdempotent,
     NotPrimitiveAxis,
     NotSemisimple,
     NotSpanning,
@@ -42,7 +43,7 @@ from .errors import (
     ResidualNonzero,
     SameAxis,
 )
-from .exactla import Matrix, SubspaceBasis, kernel_basis, rref
+from .exactla import Matrix, SubspaceBasis
 
 __all__ = [
     "PairDecomposition",
@@ -63,16 +64,6 @@ __all__ = [
     "orthogonality_propagation_check",
 ]
 
-HALF = Fraction(1, 2)
-
-
-def _primitive_decomposition(a: Element) -> EigDecomposition:
-    dec = eigendecompose(a)  # raises NotIdempotent for non-idempotents
-    if not dec.semisimple or dec.v1.dim != 1:
-        raise NotPrimitiveAxis(f"{a!r} is not a primitive axis")
-    return dec
-
-
 @dataclass(frozen=True)
 class PairDecomposition:
     """b split along the Peirce decomposition of the axis a."""
@@ -86,7 +77,11 @@ class PairDecomposition:
 
 def pair_decompose(a: Element, b: Element, g: GramForm) -> PairDecomposition:
     """Split b = a0 + a_half + (a, b) a relative to the primitive axis a."""
-    dec = _primitive_decomposition(a)
+    return _pair_decompose(primitive_decomposition(a), b, g)
+
+
+def _pair_decompose(dec: EigDecomposition, b: Element, g: GramForm) -> PairDecomposition:
+    a = dec.axis
     a0, a_half, coeff = peirce_components(dec, b)
     alpha = g.value(a, b)
     if coeff != alpha:
@@ -105,8 +100,13 @@ def x_of(a: Element, b: Element, g: GramForm) -> Element:
     """The idempotent (2ab - (a,b)a - b) / ((a,b) - 1) in A_0(a)."""
     if a == b:
         raise SameAxis("x_a(b) needs two distinct axes")
-    _primitive_decomposition(a)
-    _primitive_decomposition(b)
+    primitive_decomposition(a)
+    primitive_decomposition(b)
+    return _x_checked(a, b, g)
+
+
+def _x_checked(a: Element, b: Element, g: GramForm) -> Element:
+    """``x_of`` for distinct axes already known to be primitive."""
     alpha = g.value(a, b)
     if alpha == 1:
         raise FormValueOne("(a, b) = 1: quasi-definiteness is violated at this pair")
@@ -150,10 +150,10 @@ class PairIdentityReport:
 
 def pair_identity_suite(a: Element, b: Element, g: GramForm) -> PairIdentityReport:
     """Check the full pairwise identity suite for two primitive axes."""
-    dec_a = _primitive_decomposition(a)
-    _primitive_decomposition(b)
-    alpha = g.value(a, b)
-    pd = pair_decompose(a, b, g)
+    dec_a = primitive_decomposition(a)
+    dec_b = primitive_decomposition(b)
+    pd = _pair_decompose(dec_a, b, g)
+    alpha = pd.alpha
     ab = multiply(a, b)
 
     contractions = (
@@ -180,11 +180,7 @@ def pair_identity_suite(a: Element, b: Element, g: GramForm) -> PairIdentityRepo
 
     zero_form = alpha == 0 if ab.is_zero() else True
 
-    if not vacuous and alpha not in (0, 1):
-        dec_b = eigendecompose(b)
-        meets = dec_a.v0.intersection(dec_b.v_half).is_zero()
-    else:
-        meets = True
+    meets = vacuous or alpha in (0, 1) or dec_a.v0.intersection(dec_b.v_half).is_zero()
 
     return PairIdentityReport(
         alpha=alpha, vacuous=vacuous,
@@ -225,14 +221,20 @@ def triple_form_identity(a: Element, b: Element, c: Element,
     if denom == 0:
         raise DegenerateDenominator("-alpha*gamma + alpha + gamma - 1 = 0")
     phi = g.value(multiply(a, b), c)
-    lhs = g.value(x_of(a, b, g), x_of(a, c, g))
+    for axis in (a, b, c):
+        primitive_decomposition(axis)
+    lhs = g.value(_x_checked(a, b, g), _x_checked(a, c, g))
     rhs = (-alpha * gamma - beta + 2 * phi) / denom
     return TripleFormResult(lhs=lhs, rhs=rhs)
 
 
 def a0_axis_basis(a: Element, X: Sequence[Element], g: GramForm) -> list[Element]:
     """The spanning set {x_a(y) : y in X, y != a} of A_0(a), deduplicated."""
-    dec = _primitive_decomposition(a)
+    return _a0_axis_basis(primitive_decomposition(a), X, g)
+
+
+def _a0_axis_basis(dec: EigDecomposition, X: Sequence[Element], g: GramForm) -> list[Element]:
+    a = dec.axis
     out: list[Element] = []
     for y in X:
         if y == a:
@@ -267,7 +269,7 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
     subwords.
     """
     for gen in G:
-        _primitive_decomposition(gen)
+        primitive_decomposition(gen)
 
     def rec(tree):
         if isinstance(tree, int):
@@ -283,7 +285,10 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
         alpha = g.value(q1, q2)
         if alpha == 1:
             raise FormValueOne("(q1, q2) = 1 during word reduction")
-        axis = x_of(q1, q2, g)
+        for sub, q in zip(tree, (q1, q2)):
+            if not isinstance(sub, int):  # the generators were decomposed above
+                primitive_decomposition(q)
+        axis = _x_checked(q1, q2, g)
         scale = 2 * s1 * s2 / (alpha - 1)
         corr = cross - (alpha * q1 + q2) / (2 * s1 * s2)
         return axis, scale, corr, ev
@@ -324,16 +329,17 @@ def _select_axis_basis(candidates: Sequence[Element], target: SubspaceBasis,
     return chosen
 
 
-def _unit_recursion(A: Algebra, X: Sequence[Element], g: GramForm) -> Element:
-    if A.dim == 1:
-        return X[0]
+def _unit_recursion(A: Algebra, X: Sequence[Element], g: GramForm,
+                    dec: EigDecomposition) -> Element:
+    """The unit of A from a quasi-definite axis basis X; dec decomposes X[0]."""
     a = X[0]
-    dec = _primitive_decomposition(a)
-    candidates = a0_axis_basis(a, X, g)
+    if A.dim == 1:
+        return a
+    candidates = _a0_axis_basis(dec, X, g)
     basis0 = _select_axis_basis(candidates, dec.v0, g)
     sub, sub_axes = restrict_to_subspace(A, dec.v0, basis0)
     g_sub = _restricted_gram(g, dec.v0, sub)
-    e0_sub = _unit_recursion(sub, sub_axes, g_sub)
+    e0_sub = _unit_recursion(sub, sub_axes, g_sub, primitive_decomposition(sub_axes[0]))
     e0 = Element(A, dec.v0.lift(e0_sub.coords))
     return e0 + a
 
@@ -351,11 +357,10 @@ def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Elemen
     if not ok:
         a, b, _ = witness
         raise FormValueOne(f"({a!r}, {b!r}) = 1 in the designated basis")
-    for x in X:
-        _primitive_decomposition(x)
+    decs = [primitive_decomposition(x) for x in X]
     if not radical(A, g).is_zero():
         raise NotSemisimple("the algebra has a nonzero radical")
-    e = _unit_recursion(A, X, g)
+    e = _unit_recursion(A, X, g, decs[0])
     direct = find_unit(A)
     if direct is None or direct != e:
         raise InvariantViolation("recursive unit disagrees with the solved unit")
@@ -376,19 +381,6 @@ class CapacityResult:
         return len(self.summands)
 
 
-def _is_unit(A: Algebra, e: Element) -> bool:
-    return all(multiply(e, A.basis_element(j)) == A.basis_element(j)
-               for j in range(A.dim))
-
-
-def _dedup(elems: Sequence[Element]) -> list[Element]:
-    out: list[Element] = []
-    for e in elems:
-        if e not in out:
-            out.append(e)
-    return out
-
-
 def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
                            g: GramForm) -> CapacityResult:
     """Decompose the unit e into pairwise orthogonal axes by iterated projection.
@@ -396,19 +388,20 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
     At every step the first remaining axis becomes a pivot; the others are
     replaced by their x-projections into its 0-eigenspace, deduplicated.
     """
-    if not _is_unit(A, e):
+    if find_unit(A) != e:
         raise NotUnit("the given element does not act as the unit")
     for gen in G:
-        rep = check_axis(gen)
-        if not rep.is_primitive_axis:
-            raise NotPrimitiveAxis(f"{gen!r} is not a primitive axis")
+        try:
+            primitive_decomposition(gen)
+        except NotIdempotent:
+            raise NotPrimitiveAxis(f"{gen!r} is not a primitive axis") from None
     if subalgebra_closure(A, list(G)).dim != A.dim:
         raise NotSpanning("the generators do not generate the algebra")
 
     summands: list[Element] = []
     trace: list[tuple[Element, tuple[Element, ...]]] = []
     residual = e
-    level = _dedup(G)
+    level = list(dict.fromkeys(G))  # deduplicated, in order
     while level:
         pivot = level[0]
         summands.append(pivot)
@@ -432,8 +425,11 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
     total = A.zero()
     for i, s in enumerate(summands):
         total = total + s
-        if not check_axis(s).is_primitive_axis:
-            raise InvariantViolation("a summand is not a primitive axis")
+        if s not in G:  # the generators were decomposed above
+            try:
+                primitive_decomposition(s)
+            except (NotIdempotent, NotPrimitiveAxis):
+                raise InvariantViolation("a summand is not a primitive axis") from None
         for t in summands[i + 1:]:
             if not multiply(s, t).is_zero():
                 raise InvariantViolation("summands are not pairwise orthogonal")
@@ -470,7 +466,7 @@ def special_chain(A: Algebra, G: Sequence[Element], g: GramForm) -> SpecialChain
     current = SubspaceBasis.full(A.dim)
     for pivot in result.summands:
         links.append(ChainLink(subspace=current, special_axis=pivot))
-        current = current.intersection(kernel_basis(ad_matrix(pivot)))
+        current = current.intersection(eigendecompose(pivot).v0)
     if not current.is_zero():
         raise InvariantViolation("special chain did not terminate at the zero subspace")
     links.append(ChainLink(subspace=current, special_axis=None))
@@ -484,8 +480,7 @@ def orthogonality_propagation_check(q: Element, a: Element, b: Element,
     Returns True when the hypothesis held (the conclusion is then asserted
     exactly) and False for a vacuous pass.
     """
-    for axis in (q, a, b):
-        _primitive_decomposition(axis)
+    primitive_decomposition(q)
     x = x_of(a, b, g)
     if multiply(q, a).is_zero() and multiply(q, x).is_zero():
         if not multiply(q, b).is_zero():

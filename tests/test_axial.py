@@ -79,7 +79,7 @@ def test_fusion_report_fields():
     rep = check_fusion(eigendecompose(A.designated_axes[0]))
     assert rep.zero_square and rep.half_square
     assert rep.even_times_half and rep.zero_times_one
-    assert rep.all_ok and rep.z2_graded
+    assert rep.all_ok
 
 
 def test_miyamoto_is_order_two_automorphism():
@@ -253,3 +253,48 @@ def test_positive_definite_check():
     assert positive_definite_check(by_name("h3").g)
     assert positive_definite_check(by_name("matsuo_s4").g)
     assert not positive_definite_check(by_name("twogen_0").g)
+
+
+def test_fusion_checked_only_where_read(monkeypatch):
+    from axialq import axial, build_unit, capacity_decomposition, find_unit
+    from axialq.cli import analyze_findings
+    A, _ = matsuo(sn_transpositions(4))
+    calls = []
+    original = axial.check_fusion
+
+    def counting(dec):
+        calls.append(dec.axis)
+        return original(dec)
+
+    monkeypatch.setattr(axial, "check_fusion", counting)
+    findings = analyze_findings(A)
+    assert all(a["fusion"] for a in findings["axes"])
+    assert calls == list(A.designated_axes)  # one per designated axis
+    calls.clear()
+    axes = list(A.designated_axes)
+    g, _ = frobenius_solve(A, axes)
+    e = find_unit(A)
+    capacity_decomposition(A, axes, e, g)
+    assert build_unit(A, axes, g) == e
+    assert calls == []
+
+
+def _exact_raise(kind, fn, *args):
+    with pytest.raises(kind) as info:
+        fn(*args)
+    assert info.type is kind
+
+
+def test_error_kinds_of_non_axes():
+    from axialq import Word, capacity_decomposition, word_to_axis, x_of
+    info = by_name("matsuo_s3")
+    A, g, unit = info.A, info.g, info.unit
+    a, b, c = A.designated_axes
+    not_idempotent = 2 * a
+    assert not not_idempotent.is_idempotent() and unit.is_idempotent()
+    for bad in (not_idempotent, unit):
+        _exact_raise(NotPrimitiveAxis, frobenius_projection, A, [bad, b, c])
+        _exact_raise(NotPrimitiveAxis, capacity_decomposition, A, [a, b, bad], unit, g)
+    _exact_raise(NotIdempotent, x_of, not_idempotent, b, g)
+    _exact_raise(NotIdempotent, x_of, a, not_idempotent, g)
+    _exact_raise(NotIdempotent, word_to_axis, A, [a, not_idempotent], Word((0, 1)), g)

@@ -12,9 +12,7 @@ from axialq.fileio import (
     AlgebraFile,
     Report,
     format_rational,
-    parse_algebra_file,
     parse_rational,
-    serialize_algebra,
 )
 
 F = Fraction
@@ -41,14 +39,14 @@ def test_parse_rational_rejects(bad):
 def test_algebra_file_roundtrip():
     from axialq.constructions import matsuo, sn_transpositions
     A, _ = matsuo(sn_transpositions(3))
-    text = serialize_algebra(A, "s3")
-    B = parse_algebra_file(text)
+    text = AlgebraFile.from_algebra("s3", A).to_json()
+    B = AlgebraFile.from_json(text).algebra
     assert B.dim == A.dim
     assert B.basis_names == A.basis_names
     assert B.structure == A.structure
     assert [a.coords for a in B.designated_axes] == [a.coords for a in A.designated_axes]
     # a second round trip is byte-identical
-    assert serialize_algebra(B, "s3") == text
+    assert AlgebraFile.from_algebra("s3", B).to_json() == text
 
 
 def test_algebra_file_rejects_asymmetric_table():
@@ -293,3 +291,53 @@ def test_construct_all_factories_roundtrip_report_identical(tmp_path):
         second, c2 = run_command(["analyze", path2])
         assert c1 == c2 == 0, argv
         assert first.findings == second.findings, argv
+
+
+def _twogen_dict(tmp_path):
+    path = tmp_path / "b.json"
+    _, code = run_command(["construct", "twogen", "--out", str(path)])
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+def _set_table_row(d):
+    d["table"][0] = 5
+
+
+def _set_table_cell(d):
+    d["table"][0][0] = 5
+
+
+def _bool_dimension(d):
+    # a one-dimensional algebra, where True would pass for the dimension 1
+    d.update(dimension=True, basis=["e"], table=[[["1"]]], axes=[["1"]])
+
+
+@pytest.mark.parametrize("probe", [
+    {"axes": 7}, {"basis": 5}, {"generators": 3}, _bool_dimension,
+    {"name": [1]}, {"basis": [1, 2, 3]}, {"axes": [["1", "0"]]},
+    {"generators": [[True, "0", "0"]]}, _set_table_row, _set_table_cell,
+], ids=["axes", "basis", "generators", "dimension-bool", "name", "basis-names",
+        "axis-length", "generator-bool", "table-row", "table-cell"])
+def test_schema_type_errors_exit_2(tmp_path, capsys, probe):
+    d = _twogen_dict(tmp_path)
+    if callable(probe):
+        probe(d)
+    else:
+        d.update(probe)
+    with pytest.raises(ParseError):
+        AlgebraFile.from_dict(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error" and report["message"]
+
+
+@pytest.mark.parametrize("option", [["--triples", "-3"], ["--pairs", "-2"]])
+def test_verify_rejects_negative_counts(tmp_path, option):
+    path = _write_s3(tmp_path)
+    report, code = run_command(["verify", "identities", path, *option])
+    assert code == 2 and report.status == "error"
+    assert "nonnegative" in report.message

@@ -227,3 +227,27 @@ def test_det_and_inverse_match_sympy(sympy, m):
             inverse(m)
     else:
         assert [list(r) for r in inverse(m).entries()] == from_sympy(s.inv())
+
+
+# --- coords_of against the transpose-and-solve oracle -----------------------
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_coords_of_matches_solve(m, data):
+    """Spanning sets with zero and dependent rows, the zero subspace included."""
+    n = m.cols
+    s = SubspaceBasis(n, m.entries())
+    coeffs = data.draw(st.lists(mixed, min_size=m.rows, max_size=m.rows))
+    inside = [sum((c * row[k] for c, row in zip(coeffs, m.entries())), F(0))
+              for k in range(n)]
+    outside = data.draw(st.lists(mixed, min_size=n, max_size=n))
+    for v in (inside, outside, [F(0)] * n):
+        if s.dim:
+            expected = solve(Matrix(s.vectors).transpose(), v)
+        else:  # solve has no 0-column oracle here: only 0 lies in the zero subspace
+            expected = None if any(v) else ()
+        assert s.coords_of(v) == expected
+    assert s.coords_of(inside) is not None
+    for wrong in {n + 1, max(n - 1, 0)} - {n}:
+        with pytest.raises(ValueError):
+            s.coords_of([F(0)] * wrong)

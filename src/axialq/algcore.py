@@ -34,7 +34,7 @@ __all__ = [
 class Algebra:
     """Finite-dimensional commutative algebra over Q."""
 
-    __slots__ = ("dim", "basis_names", "structure", "designated_axes")
+    __slots__ = ("dim", "basis_names", "structure", "designated_axes", "__weakref__")
 
     def __init__(self, dim: int, basis_names: Sequence[str], structure, axes=()):
         self.dim = dim

@@ -2,11 +2,15 @@
 
 Everything is exact; a "check" either returns booleans or raises one of
 the errors in :mod:`axialq.errors` when a precondition is violated.
-``eigendecompose`` alone builds Peirce data; callers pass it on.
+``eigendecompose`` alone builds Peirce data, and each algebra keeps what it
+built, so an axis is decomposed once for the lifetime of its algebra.  The
+Peirce components of an element and the spectrum witness are read from
+products with the axis, without further elimination.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,7 +25,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, _solve, det, inverse, kernel_basis, rref, solve
+from .exactla import Matrix, SubspaceBasis, _solve, det, inverse, kernel_basis, rref
 
 __all__ = [
     "EigDecomposition",
@@ -88,21 +92,25 @@ class FusionReport:
                 and self.even_times_half and self.zero_times_one)
 
 
+# algebra -> {axis coordinates: (v0, v_half, v1)}; no entry refers to its algebra
+_EIGENSPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def eigendecompose(e: Element) -> EigDecomposition:
-    """Exact kernels of (ad_e - lambda I) for lambda in {0, 1/2, 1}."""
-    if not e.is_idempotent():
-        raise NotIdempotent(f"{e!r} is not idempotent")
-    ad = ad_matrix(e)
-    n = e.algebra.dim
-    ident = Matrix.identity(n)
+    """Exact kernels of (ad_e - lambda I) for lambda in {0, 1/2, 1}.
 
-    def eigenspace(lam: Fraction) -> SubspaceBasis:
-        return kernel_basis(ad - ident.scale(lam))
-
-    return EigDecomposition(axis=e,
-                            v0=eigenspace(Fraction(0)),
-                            v_half=eigenspace(HALF),
-                            v1=eigenspace(Fraction(1)))
+    Built once per idempotent and kept for the lifetime of its algebra.
+    """
+    known = _EIGENSPACES.setdefault(e.algebra, {})
+    spaces = known.get(e.coords)
+    if spaces is None:
+        if not e.is_idempotent():
+            raise NotIdempotent(f"{e!r} is not idempotent")
+        ad = ad_matrix(e)
+        ident = Matrix.identity(e.algebra.dim)
+        spaces = known[e.coords] = tuple(kernel_basis(ad - ident.scale(lam))
+                                         for lam in (Fraction(0), HALF, Fraction(1)))
+    return EigDecomposition(e, *spaces)
 
 
 def primitive_decomposition(a: Element) -> EigDecomposition:
@@ -122,11 +130,14 @@ def check_axis(e: Element) -> AxisReport:
         dec = eigendecompose(e)
     except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
-    ad = ad_matrix(e)
-    n = e.algebra.dim
-    ident = Matrix.identity(n)
-    # independent spectrum witness: ad (ad - I/2) (ad - I) = 0
-    spectrum_ok = (ad @ (ad - ident.scale(HALF)) @ (ad - ident)).is_zero()
+
+    def witness(x: Element) -> Element:
+        # independent spectrum witness: L (2L - 1) (L - 1) x = 2L^3 x - 3L^2 x + Lx
+        ex = multiply(e, x)
+        eex = multiply(e, ex)
+        return 2 * multiply(e, eex) - 3 * eex + ex
+
+    spectrum_ok = all(witness(x).is_zero() for x in e.algebra.basis_elements())
     semisimple = dec.semisimple
     primitive = dec.v1.dim == 1 and not e.is_zero()
     fusion_ok = check_fusion(dec).all_ok if semisimple else False
@@ -172,18 +183,20 @@ def miyamoto(dec: EigDecomposition) -> Matrix:
 
 
 def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Element, Fraction]:
-    """Split x = x0 + x_half + alpha * axis for a primitive semisimple axis."""
+    """Split x = x0 + x_half + alpha * axis for a primitive semisimple axis.
+
+    The spectral projectors of L = ad_axis give alpha * axis = L(2L - 1) x
+    and x_half = 4L(1 - L) x; alpha is read at the pivot of v1.
+    """
     if not dec.semisimple or dec.v1.dim != 1:
         raise NotPrimitiveAxis("decomposition is not that of a primitive axis")
-    A = x.algebra
-    cols = list(dec.v0.vectors) + list(dec.v_half.vectors) + [dec.axis.coords]
-    coords = solve(Matrix(cols).transpose(), x.coords)
-    if coords is None:
-        raise InvariantViolation("element does not decompose along the eigenspaces")
-    d0, dh = dec.v0.dim, dec.v_half.dim
-    x0 = Element(A, dec.v0.lift(coords[:d0]))
-    xh = Element(A, dec.v_half.lift(coords[d0:d0 + dh]))
-    return x0, xh, coords[d0 + dh]
+    a = dec.axis
+    ax = multiply(a, x)
+    aax = multiply(a, ax)
+    x1 = 2 * aax - ax
+    xh = 4 * (ax - aax)
+    p = dec.v1.pivots[0]
+    return x - x1 - xh, xh, x1.coords[p] / a.coords[p]
 
 
 class GramForm:
@@ -232,7 +245,7 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     For a primitive axis a, the form value (a, y) is the coefficient of a
     in the Peirce decomposition of y relative to a.  With enough axes to
     span A, the Gram matrix G is the unique solution of P G = F, where P
-    stacks the axis coordinate rows.
+    stacks the axis coordinate rows; one elimination of [P | F] reads it off.
     """
     decs = []
     for a in spanning_axes:
@@ -240,19 +253,15 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
             decs.append(primitive_decomposition(a))
         except NotIdempotent:
             raise NotPrimitiveAxis(f"{a!r} is not a primitive axis") from None
-    p = Matrix([a.coords for a in spanning_axes])
-    if rref(p).rank != A.dim:
+    n = A.dim
+    basis = A.basis_elements()
+    res = rref(Matrix([dec.axis.coords + tuple(peirce_components(dec, b)[2] for b in basis)
+                       for dec in decs]))
+    if sum(c < n for c in res.pivot_columns) != n:
         raise NotSpanning("the given axes do not span the algebra")
-    f = Matrix([[peirce_components(dec, A.basis_element(j))[2] for j in range(A.dim)]
-                for dec in decs])
-    g_cols = []
-    for k in range(A.dim):
-        col = solve(p, f.col(k))
-        if col is None:
-            raise InvariantViolation("projection values are not consistent with any form")
-        g_cols.append(col)
-    gram = Matrix(g_cols).transpose()
-    form = GramForm(A, gram)
+    if res.rank != n:
+        raise InvariantViolation("projection values are not consistent with any form")
+    form = GramForm(A, Matrix([row[n:] for row in res.reduced.entries()[:n]]))
     if not form.is_invariant():
         raise InvariantViolation("projection form is not invariant")
     for a in spanning_axes:

@@ -43,6 +43,7 @@ from .jordanhalf import (
 __all__ = ["run_command", "main", "analyze_findings", "gram_for", "parse_word"]
 
 DEFAULT_SEED = 20240901
+MAX_WORD_DEPTH = 100  # deepest word tree or parenthesis nesting that parse_word accepts
 
 
 def _coords(e: Element) -> list[str]:
@@ -166,7 +167,10 @@ def _generators(af: AlgebraFile, spec: Optional[str]) -> list[Element]:
 
 
 def parse_word(expr: str, names: Sequence[str]) -> Word:
-    """Parse a parenthesized product like ``(a*b)*a`` over generator names."""
+    """Parse a parenthesized product like ``(a*b)*a`` over generator names.
+
+    Words nested deeper than ``MAX_WORD_DEPTH`` are rejected with ParseError.
+    """
     tokens = []
     i = 0
     while i < len(expr):
@@ -189,12 +193,18 @@ def parse_word(expr: str, names: Sequence[str]) -> Word:
     def peek():
         return tokens[pos] if pos < len(tokens) else None
 
-    def factor():
+    def checked(depth: int) -> int:
+        if depth > MAX_WORD_DEPTH:
+            raise ParseError(f"word is nested deeper than {MAX_WORD_DEPTH} levels")
+        return depth
+
+    # each returns (tree, tree depth); nesting counts the open parentheses
+    def factor(nesting: int):
         nonlocal pos
         tok = peek()
         if tok == "(":
             pos += 1
-            node = product()
+            node = product(checked(nesting + 1))
             if peek() != ")":
                 raise ParseError("missing closing parenthesis")
             pos += 1
@@ -203,19 +213,20 @@ def parse_word(expr: str, names: Sequence[str]) -> Word:
             raise ParseError(f"expected a generator name, got {tok!r}")
         pos += 1
         try:
-            return names.index(tok)
+            return names.index(tok), 0
         except ValueError:
             raise ParseError(f"unknown generator {tok!r}; known: {list(names)}") from None
 
-    def product():
+    def product(nesting: int):
         nonlocal pos
-        node = factor()
+        node, depth = factor(nesting)
         while peek() == "*":
             pos += 1
-            node = (node, factor())
-        return node
+            right, right_depth = factor(nesting)
+            node, depth = (node, right), checked(1 + max(depth, right_depth))
+        return node, depth
 
-    tree = product()
+    tree, _ = product(0)
     if pos != len(tokens):
         raise ParseError(f"trailing tokens in word expression: {tokens[pos:]}")
     return Word(tree)

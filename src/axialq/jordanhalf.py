@@ -22,7 +22,6 @@ from .algcore import (
 )
 from .axial import (
     HALF,
-    EigDecomposition,
     GramForm,
     eigendecompose,
     peirce_components,
@@ -77,12 +76,7 @@ class PairDecomposition:
 
 def pair_decompose(a: Element, b: Element, g: GramForm) -> PairDecomposition:
     """Split b = a0 + a_half + (a, b) a relative to the primitive axis a."""
-    return _pair_decompose(primitive_decomposition(a), b, g)
-
-
-def _pair_decompose(dec: EigDecomposition, b: Element, g: GramForm) -> PairDecomposition:
-    a = dec.axis
-    a0, a_half, coeff = peirce_components(dec, b)
+    a0, a_half, coeff = peirce_components(primitive_decomposition(a), b)
     alpha = g.value(a, b)
     if coeff != alpha:
         raise InvariantViolation(
@@ -102,11 +96,6 @@ def x_of(a: Element, b: Element, g: GramForm) -> Element:
         raise SameAxis("x_a(b) needs two distinct axes")
     primitive_decomposition(a)
     primitive_decomposition(b)
-    return _x_checked(a, b, g)
-
-
-def _x_checked(a: Element, b: Element, g: GramForm) -> Element:
-    """``x_of`` for distinct axes already known to be primitive."""
     alpha = g.value(a, b)
     if alpha == 1:
         raise FormValueOne("(a, b) = 1: quasi-definiteness is violated at this pair")
@@ -152,7 +141,7 @@ def pair_identity_suite(a: Element, b: Element, g: GramForm) -> PairIdentityRepo
     """Check the full pairwise identity suite for two primitive axes."""
     dec_a = primitive_decomposition(a)
     dec_b = primitive_decomposition(b)
-    pd = _pair_decompose(dec_a, b, g)
+    pd = pair_decompose(a, b, g)
     alpha = pd.alpha
     ab = multiply(a, b)
 
@@ -221,20 +210,14 @@ def triple_form_identity(a: Element, b: Element, c: Element,
     if denom == 0:
         raise DegenerateDenominator("-alpha*gamma + alpha + gamma - 1 = 0")
     phi = g.value(multiply(a, b), c)
-    for axis in (a, b, c):
-        primitive_decomposition(axis)
-    lhs = g.value(_x_checked(a, b, g), _x_checked(a, c, g))
+    lhs = g.value(x_of(a, b, g), x_of(a, c, g))
     rhs = (-alpha * gamma - beta + 2 * phi) / denom
     return TripleFormResult(lhs=lhs, rhs=rhs)
 
 
 def a0_axis_basis(a: Element, X: Sequence[Element], g: GramForm) -> list[Element]:
     """The spanning set {x_a(y) : y in X, y != a} of A_0(a), deduplicated."""
-    return _a0_axis_basis(primitive_decomposition(a), X, g)
-
-
-def _a0_axis_basis(dec: EigDecomposition, X: Sequence[Element], g: GramForm) -> list[Element]:
-    a = dec.axis
+    v0 = primitive_decomposition(a).v0
     out: list[Element] = []
     for y in X:
         if y == a:
@@ -249,7 +232,7 @@ def _a0_axis_basis(dec: EigDecomposition, X: Sequence[Element], g: GramForm) -> 
             raise InvariantViolation("projected element is not a normalized idempotent")
         out.append(x)
     span = SubspaceBasis(a.algebra.dim, [x.coords for x in out])
-    if span != dec.v0:
+    if span != v0:
         raise InvariantViolation("span of the projected axes != A_0(a)")
     return out
 
@@ -285,10 +268,7 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
         alpha = g.value(q1, q2)
         if alpha == 1:
             raise FormValueOne("(q1, q2) = 1 during word reduction")
-        for sub, q in zip(tree, (q1, q2)):
-            if not isinstance(sub, int):  # the generators were decomposed above
-                primitive_decomposition(q)
-        axis = _x_checked(q1, q2, g)
+        axis = x_of(q1, q2, g)
         scale = 2 * s1 * s2 / (alpha - 1)
         corr = cross - (alpha * q1 + q2) / (2 * s1 * s2)
         return axis, scale, corr, ev
@@ -329,19 +309,16 @@ def _select_axis_basis(candidates: Sequence[Element], target: SubspaceBasis,
     return chosen
 
 
-def _unit_recursion(A: Algebra, X: Sequence[Element], g: GramForm,
-                    dec: EigDecomposition) -> Element:
-    """The unit of A from a quasi-definite axis basis X; dec decomposes X[0]."""
+def _unit_recursion(A: Algebra, X: Sequence[Element], g: GramForm) -> Element:
+    """The unit of A from a quasi-definite axis basis X."""
     a = X[0]
     if A.dim == 1:
         return a
-    candidates = _a0_axis_basis(dec, X, g)
-    basis0 = _select_axis_basis(candidates, dec.v0, g)
-    sub, sub_axes = restrict_to_subspace(A, dec.v0, basis0)
-    g_sub = _restricted_gram(g, dec.v0, sub)
-    e0_sub = _unit_recursion(sub, sub_axes, g_sub, primitive_decomposition(sub_axes[0]))
-    e0 = Element(A, dec.v0.lift(e0_sub.coords))
-    return e0 + a
+    v0 = eigendecompose(a).v0
+    basis0 = _select_axis_basis(a0_axis_basis(a, X, g), v0, g)
+    sub, sub_axes = restrict_to_subspace(A, v0, basis0)
+    e0_sub = _unit_recursion(sub, sub_axes, _restricted_gram(g, v0, sub))
+    return Element(A, v0.lift(e0_sub.coords)) + a
 
 
 def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Element]:
@@ -357,10 +334,11 @@ def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Elemen
     if not ok:
         a, b, _ = witness
         raise FormValueOne(f"({a!r}, {b!r}) = 1 in the designated basis")
-    decs = [primitive_decomposition(x) for x in X]
+    for x in X:
+        primitive_decomposition(x)
     if not radical(A, g).is_zero():
         raise NotSemisimple("the algebra has a nonzero radical")
-    e = _unit_recursion(A, X, g, decs[0])
+    e = _unit_recursion(A, X, g)
     direct = find_unit(A)
     if direct is None or direct != e:
         raise InvariantViolation("recursive unit disagrees with the solved unit")
@@ -425,11 +403,10 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
     total = A.zero()
     for i, s in enumerate(summands):
         total = total + s
-        if s not in G:  # the generators were decomposed above
-            try:
-                primitive_decomposition(s)
-            except (NotIdempotent, NotPrimitiveAxis):
-                raise InvariantViolation("a summand is not a primitive axis") from None
+        try:
+            primitive_decomposition(s)
+        except (NotIdempotent, NotPrimitiveAxis):
+            raise InvariantViolation("a summand is not a primitive axis") from None
         for t in summands[i + 1:]:
             if not multiply(s, t).is_zero():
                 raise InvariantViolation("summands are not pairwise orthogonal")

@@ -5,6 +5,7 @@ conftest terminal-summary hook prints one PASS/FAIL line per criterion at
 the end of the run.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -33,6 +34,7 @@ from axialq import (
 from axialq.cli import run_command
 from axialq.constructions import (
     hn_prime_matsuo_isomorphism_check,
+    matrix_jordan,
     matsuo,
     qd_basis_matrix,
     sn_transpositions,
@@ -47,6 +49,14 @@ from conftest import by_name, circle_axes, axis_pairs, random_element, registry
 
 F = Fraction
 HALF = F(1, 2)
+
+
+@functools.cache
+def larger(name):
+    """M4+ (dim 16) or Matsuo(S5) (dim 10), with its designated axes and projection form."""
+    A = matrix_jordan(4) if name == "m4" else matsuo(sn_transpositions(5))[0]
+    axes = list(A.designated_axes)
+    return A, axes, frobenius_projection(A, axes)
 
 
 def test_criterion_01_spin_factor_reproduction():
@@ -106,11 +116,13 @@ def test_criterion_02_matrix_jordan_reproduction():
             assert val(x, y) != 1
         for x in axes:
             assert val(x, x) == 1
-    # capacities: 2 for M_2 and 3 for M_3
+    # capacities: 2 for M_2, 3 for M_3 and 4 for M_4
     for name, expected in (("m2", 2), ("m3", 3)):
         info = by_name(name)
         res = capacity_decomposition(info.A, list(info.qd_basis), info.unit, info.g)
         assert res.capacity == expected
+    A, axes, g = larger("m4")
+    assert capacity_decomposition(A, axes, find_unit(A), g).capacity == 4
 
 
 def test_criterion_03_matsuo_reproduction():
@@ -130,6 +142,9 @@ def test_criterion_03_matsuo_reproduction():
     assert s3.unit == F(2, 3) * (a + b + c)
     res = capacity_decomposition(s3.A, [a, b, c], s3.unit, s3.g)
     assert res.capacity == 2
+    A, axes, g = larger("matsuo_s5")
+    assert g.gram == matsuo(sn_transpositions(5))[1]
+    assert capacity_decomposition(A, axes, find_unit(A), g).capacity == 4
     # the collapse x_a(b) = x_a(c)
     assert x_of(a, b, s3.g) == x_of(a, c, s3.g)
 
@@ -206,6 +221,9 @@ def test_criterion_06_unit_construction():
             assert info.g.value(e, a) == 1
         built += 1
     assert built >= 8
+    for name in ("m4", "matsuo_s5"):
+        A, axes, g = larger(name)
+        assert build_unit(A, axes, g) == find_unit(A), name
 
     # (e_0(a) + a, b) = 1 on all applicable pairs: e_0(a) restricted to the
     # pair's subalgebra is x_a(b)
@@ -249,6 +267,7 @@ def test_criterion_07_radical_behavior():
 def test_criterion_08_isomorphism():
     assert hn_prime_matsuo_isomorphism_check(3)
     assert hn_prime_matsuo_isomorphism_check(4)
+    assert hn_prime_matsuo_isomorphism_check(5)
 
 
 def test_criterion_09_property_suite_integrity():

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axialq import (
     GramForm,
@@ -28,7 +29,7 @@ from axialq.errors import (
     NotSpanning,
 )
 from axialq.constructions import matsuo, sn_transpositions
-from axialq.exactla import Matrix
+from axialq.exactla import Matrix, solve
 
 from conftest import by_name, circle_axes, registry
 
@@ -114,6 +115,28 @@ def test_peirce_components_reassemble():
     assert multiply(a, xh) == HALF * xh
     # the projection coefficient equals the form value (a, x)
     assert alpha == info.g.value(a, x)
+
+
+def _stacked_solve_components(dec, x):
+    """Reference split: x's coordinates on v0, v_half and the axis, by one solve."""
+    cols = list(dec.v0.vectors) + list(dec.v_half.vectors) + [dec.axis.coords]
+    coords = solve(Matrix(cols).transpose(), x.coords)
+    d0, dh = dec.v0.dim, dec.v_half.dim
+    A = x.algebra
+    return (A.element(dec.v0.lift(coords[:d0])),
+            A.element(dec.v_half.lift(coords[d0:d0 + dh])), coords[d0 + dh])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["matsuo_s4", "m3", "spin_111", "twogen_14"]), st.data())
+def test_peirce_components_match_stacked_solve(name, data):
+    info = by_name(name)
+    a = data.draw(st.sampled_from(info.spanning_axes))
+    x = info.A.element(data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        min_size=info.A.dim, max_size=info.A.dim)))
+    dec = eigendecompose(a)
+    assert peirce_components(dec, x) == _stacked_solve_components(dec, x)
 
 
 def test_frobenius_constructions_agree(algebras):
@@ -298,3 +321,27 @@ def test_error_kinds_of_non_axes():
     _exact_raise(NotIdempotent, x_of, not_idempotent, b, g)
     _exact_raise(NotIdempotent, x_of, a, not_idempotent, g)
     _exact_raise(NotIdempotent, word_to_axis, A, [a, not_idempotent], Word((0, 1)), g)
+
+
+def test_each_axis_decomposed_once(monkeypatch):
+    from axialq import axial, build_unit, capacity_decomposition, find_unit, special_chain
+    from axialq.cli import analyze_findings
+    A, _ = matsuo(sn_transpositions(4))
+    built = []  # (algebra, axis coordinates) per ad_matrix call; keeps each algebra alive
+    original = axial.ad_matrix
+
+    def counting(x):
+        built.append((x.algebra, x.coords))
+        return original(x)
+
+    monkeypatch.setattr(axial, "ad_matrix", counting)
+    analyze_findings(A)
+    axes = list(A.designated_axes)
+    g, _ = frobenius_solve(A, axes)
+    e = find_unit(A)
+    capacity_decomposition(A, axes, e, g)
+    assert build_unit(A, axes, g) == e
+    special_chain(A, axes, g)
+    assert {c for alg, c in built if alg is A} >= {a.coords for a in axes}
+    assert any(alg is not A for alg, _ in built)  # the unit recursion's subalgebras
+    assert len(built) == len(set(built))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from axialq.cli import main, parse_word, run_command
+from axialq.cli import MAX_WORD_DEPTH, main, parse_word, run_command
 from axialq.errors import ParseError
 from axialq.fileio import (
     AlgebraFile,
@@ -95,6 +95,30 @@ def test_parse_word():
 def test_parse_word_rejects(expr):
     with pytest.raises(ParseError):
         parse_word(expr, ["a", "b"])
+
+
+def test_parse_word_depth_limit():
+    deepest = "(" * MAX_WORD_DEPTH + "a" + ")" * MAX_WORD_DEPTH
+    assert parse_word(deepest, ["a"]).tree == 0
+    chain = parse_word("*".join(["a"] * (MAX_WORD_DEPTH + 1)), ["a"]).tree
+    for _ in range(MAX_WORD_DEPTH - 1):  # a chain of k letters is k - 1 levels deep
+        chain = chain[0]
+    assert chain == (0, 0)
+    for expr in ["(" + deepest + ")", "*".join(["a"] * (MAX_WORD_DEPTH + 2))]:
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_word(expr, ["a"])
+
+
+@pytest.mark.parametrize("word", ["(" * 3000 + "a" + ")" * 3000,
+                                  "*".join(["a"] * 3000),
+                                  "a*" + "(a*" * 3000 + "a" + ")" * 3000],
+                         ids=["parentheses", "chain", "right-nested"])
+def test_deep_word_exits_2(tmp_path, capsys, word):
+    path = _write_s3(tmp_path)
+    capsys.readouterr()
+    assert main(["word-axis", path, "--word", word]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error" and "nested deeper" in report["message"]
 
 
 # --- CLI commands --------------------------------------------------------------------

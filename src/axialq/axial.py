@@ -4,8 +4,10 @@ Everything is exact; a "check" either returns booleans or raises one of
 the errors in :mod:`axialq.errors` when a precondition is violated.
 ``eigendecompose`` alone builds Peirce data, and each algebra keeps what it
 built, so an axis is decomposed once for the lifetime of its algebra.  The
-Peirce components of an element and the spectrum witness are read from
-products with the axis, without further elimination.
+Peirce components of an element, the Miyamoto involution and the spectrum
+witness are read from products with the axis, without further elimination.
+``frobenius_solve`` and ``GramForm.is_invariant`` read the invariance equations
+from one function.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, _solve, det, inverse, kernel_basis, rref
+from .exactla import Matrix, SubspaceBasis, _solve, det, kernel_basis, rref
 
 __all__ = [
     "EigDecomposition",
@@ -171,15 +173,18 @@ def check_fusion(dec: EigDecomposition) -> FusionReport:
 
 
 def miyamoto(dec: EigDecomposition) -> Matrix:
-    """Miyamoto involution: fixes v0 + v1, negates v_half, as a matrix."""
+    """Miyamoto involution: fixes v0 + v1, negates v_half, as a matrix.
+
+    Column j is tau(e_j) = e_j - 2 (e_j)_half = e_j - 8(a e_j - a(a e_j)).
+    """
     if not dec.semisimple:
         raise NotSemisimple("Miyamoto map needs a semisimple decomposition")
-    cols = list(dec.v0.vectors) + list(dec.v1.vectors) + list(dec.v_half.vectors)
-    c = Matrix(cols).transpose()
-    signs = [Fraction(1)] * (dec.v0.dim + dec.v1.dim) + [Fraction(-1)] * dec.v_half.dim
-    d = Matrix([[signs[i] if i == j else Fraction(0) for j in range(len(signs))]
-                for i in range(len(signs))])
-    return c @ d @ inverse(c)
+    a = dec.axis
+    cols = []
+    for e in a.algebra.basis_elements():
+        ae = multiply(a, e)
+        cols.append((e - 8 * (ae - multiply(a, ae))).coords)
+    return Matrix(list(zip(*cols)))
 
 
 def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Element, Fraction]:
@@ -197,6 +202,27 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
     xh = 4 * (ax - aax)
     p = dec.v1.pivots[0]
     return x - x1 - xh, xh, x1.coords[p] / a.coords[p]
+
+
+def _invariance_equations(A: Algebra) -> tuple[list[list[int]], list[list[tuple[int, Fraction]]]]:
+    """The Gram unknowns and the invariance equations on them.
+
+    g(p, q) = g(q, p) is unknown number index[p][q], numbered row by row
+    along the upper triangle.  Each equation (e_i e_j, e_k) - (e_i, e_j e_k)
+    = 0, for every j and every i < k, is a list of (unknown, coefficient)
+    pairs, where an unknown may recur.  With a commutative product and a
+    symmetric form, the equation for (k, j, i) is minus that for (i, j, k)
+    and the one for (i, j, i) is 0, so these say all that n^3 triples say.
+    """
+    n = A.dim
+    index = [[0] * n for _ in range(n)]
+    for u, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
+        index[p][q] = index[q][p] = u
+    terms = [[[(l, c) for l, c in enumerate(cij) if c] for cij in plane]
+             for plane in A.structure]
+    return index, [[(index[l][k], c) for l, c in terms[i][j]]
+                   + [(index[i][l], -c) for l, c in terms[j][k]]
+                   for j in range(n) for i in range(n) for k in range(i + 1, n)]
 
 
 class GramForm:
@@ -217,19 +243,10 @@ class GramForm:
         return sum(a * b for a, b in zip(x.coords, gv))
 
     def is_invariant(self) -> bool:
-        """(xy, z) = (x, yz) on all basis triples.
-
-        With gc[i][j][k] = (e_i e_j, e_k) = sum_l c[i][j][l] G[l][k], the
-        symmetry of G makes (e_i, e_j e_k) = gc[j][k][i].
-        """
-        A = self.algebra
-        n = A.dim
-        g = self.gram.entries()
-        gc = [[[sum(c * g[l][k] for l, c in terms) for k in range(n)]
-               for terms in ([(l, c) for l, c in enumerate(cij) if c] for cij in plane)]
-              for plane in A.structure]
-        return all(gc[i][j][k] == gc[j][k][i]
-                   for i in range(n) for j in range(n) for k in range(j, n))
+        """(xy, z) = (x, yz) on all basis triples: G satisfies every invariance equation."""
+        g = [v for p, row in enumerate(self.gram.entries()) for v in row[p:]]
+        return all(sum(c * g[u] for u, c in eq) == 0
+                   for eq in _invariance_equations(self.algebra)[1])
 
     def __eq__(self, other):
         return (isinstance(other, GramForm) and self.algebra is other.algebra
@@ -273,53 +290,37 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
 def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]:
     """Frobenius form as the solution of the invariance + normalization system.
 
-    Returns a solution together with the dimension of the homogeneous
-    solution space (0 means the form is unique).
+    The unknowns are the Gram entries g(i, j), i <= j.  The nonzero rows of
+    ``_invariance_equations`` span every (e_i e_j, e_k) = (e_i, e_j e_k) at
+    half the n^3 rows, so the canonical elimination, and the solution read
+    off it, is that of the full system.  Each axis adds the row (a, a) = 1.
+    Returns a solution, with free unknowns set to 0, together with the
+    dimension of the homogeneous solution space (0 means the form is unique).
     """
     if not axes:
         raise ValueError("at least one axis is required for normalization")
     n = A.dim
-    # unknowns: g(i, j) for i <= j
-    index = {}
-    for i in range(n):
-        for j in range(i, n):
-            index[(i, j)] = len(index)
-    nun = len(index)
-
-    def gidx(i: int, j: int) -> int:
-        return index[(i, j)] if i <= j else index[(j, i)]
-
-    rows, rhs = [], []
-    # invariance: (e_i e_j, e_k) = (e_i, e_j e_k)
-    for i in range(n):
-        for j in range(n):
-            cij = A.structure[i][j]
-            for k in range(n):
-                cjk = A.structure[j][k]
-                row = [Fraction(0)] * nun
-                for l in range(n):
-                    if cij[l] != 0:
-                        row[gidx(l, k)] += cij[l]
-                    if cjk[l] != 0:
-                        row[gidx(i, l)] -= cjk[l]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-    # normalization: (a, a) = 1
+    index, invariance = _invariance_equations(A)
+    nun = n * (n + 1) // 2
+    rows = []
+    for eq in invariance:
+        row = [Fraction(0)] * nun
+        for u, c in eq:
+            row[u] += c
+        if any(row):
+            rows.append(row)
+    rhs = [Fraction(0)] * len(rows) + [Fraction(1)] * len(axes)
     for a in axes:
         row = [Fraction(0)] * nun
-        for i in range(n):
-            for j in range(n):
-                if a.coords[i] != 0 and a.coords[j] != 0:
-                    row[gidx(i, j)] += a.coords[i] * a.coords[j]
+        for i, ai in enumerate(a.coords):
+            for j, aj in enumerate(a.coords):
+                if ai and aj:
+                    row[index[i][j]] += ai * aj
         rows.append(row)
-        rhs.append(Fraction(1))
-    m = Matrix(rows) if rows else Matrix.zero(0, nun)
-    x, free_dim = _solve(m, rhs)
+    x, free_dim = _solve(Matrix(rows), rhs)
     if x is None:
         raise Inconsistent("no invariant normalized form exists for these axes")
-    gram = Matrix([[x[gidx(i, j)] for j in range(n)] for i in range(n)])
-    return GramForm(A, gram), free_dim
+    return GramForm(A, Matrix([[x[u] for u in row] for row in index])), free_dim
 
 
 def radical(A: Algebra, g: GramForm) -> SubspaceBasis:

@@ -21,7 +21,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "det",
-    "inverse",
     "vec",
 ]
 
@@ -69,11 +68,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return cls([[z] * cols for _ in range(rows)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -357,15 +351,3 @@ def det(m: Matrix) -> Fraction:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return sign * result
 
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError if m is singular."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = Matrix([list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                  for i, r in enumerate(m.entries())])
-    res = rref(aug)
-    if res.pivot_columns != list(range(n)):
-        raise ValueError("singular matrix")
-    return Matrix([r[n:] for r in res.reduced.entries()])

@@ -121,6 +121,8 @@ class AlgebraFile:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError("JSON is nested too deeply to decode") from None
         return cls.from_dict(d)
 
 

@@ -1,5 +1,6 @@
 """Axis analysis: eigenspaces, fusion, Miyamoto, Frobenius form, radical."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from axialq import (
     frobenius_projection,
     frobenius_solve,
     is_semisimple,
+    make_algebra,
     miyamoto,
     multiply,
     peirce_components,
@@ -29,7 +31,7 @@ from axialq.errors import (
     NotSpanning,
 )
 from axialq.constructions import matsuo, sn_transpositions
-from axialq.exactla import Matrix, solve
+from axialq.exactla import Matrix, rref, solve
 
 from conftest import by_name, circle_axes, registry
 
@@ -183,6 +185,13 @@ def test_frobenius_solve_free_dim_of_unnormalized_summand():
     g, free = frobenius_solve(A, [e, f])
     assert free == 0
     assert g.gram == Matrix.identity(2)
+    # larger algebras with free unknowns, against the full n^3 system
+    S, pool = _axis_pools()["matsuo_s3+twogen_14"]
+    B0, b0_axes = _axis_pools()["twogen_0"]
+    for alg, axes, free in [(S, pool[:1], 1), (S, pool[3:], 1), (S, pool, 0),
+                            (B0, b0_axes[:1], 1)]:
+        g, f = frobenius_solve(alg, axes)
+        assert f == free and (g.gram, f) == _reference_frobenius_solve(alg, axes)
 
 
 def test_frobenius_projection_rejects_non_spanning():
@@ -209,6 +218,111 @@ def test_frobenius_solve_inconsistent():
     # normalizing on both p and 2p demands (p,p) = 1 and 4(p,p) = 1 at once
     with pytest.raises(Inconsistent):
         frobenius_solve(A, [p, 2 * p])
+
+
+def _reference_frobenius_solve(A, axes):
+    """The invariance system on all n^3 triples plus (a, a) = 1, by ``solve``."""
+    n = A.dim
+    unknowns = {(i, j): u for u, (i, j) in
+                enumerate((i, j) for i in range(n) for j in range(i, n))}
+
+    def gidx(i, j):
+        return unknowns[min(i, j), max(i, j)]
+
+    rows = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        row = [F(0)] * len(unknowns)
+        for l in range(n):
+            row[gidx(l, k)] += A.structure[i][j][l]
+            row[gidx(i, l)] -= A.structure[j][k][l]
+        if any(row):
+            rows.append(row)
+    rhs = [F(0)] * len(rows) + [F(1)] * len(axes)
+    for a in axes:
+        row = [F(0)] * len(unknowns)
+        for i, j in itertools.product(range(n), repeat=2):
+            row[gidx(i, j)] += a.coords[i] * a.coords[j]
+        rows.append(row)
+    m = Matrix(rows)
+    x = solve(m, rhs)
+    if x is None:
+        raise Inconsistent("reference system is inconsistent")
+    return Matrix([[x[gidx(i, j)] for j in range(n)] for i in range(n)]), m.cols - rref(m).rank
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Inconsistent:
+        return Inconsistent
+
+
+def _direct_sum(A, B):
+    """A + B with the product of A on the first coordinates and of B on the rest."""
+    n, z = A.dim + B.dim, F(0)
+    table = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for X, off in ((A, 0), (B, A.dim)):
+        for i, j, k in itertools.product(range(X.dim), repeat=3):
+            table[off + i][off + j][off + k] = X.structure[i][j][k]
+    embed = [(z,) * off + a.coords + (z,) * (n - off - X.dim)
+             for X, off in ((A, 0), (B, A.dim)) for a in X.designated_axes]
+    return make_algebra(n, [f"e{i}" for i in range(n)], table, embed)
+
+
+@functools.cache
+def _axis_pools():
+    """Algebras with every axis known here.  A subset of the axes of B(0) or
+    of the direct sum (one summand left unnormalized) leaves free unknowns."""
+    pools = {}
+    for name in ["matsuo_s4", "m3", "spin_111", "twogen_14", "h3", "twogen_0"]:
+        info = by_name(name)
+        pool = list(info.A.designated_axes)
+        pools[name] = info.A, pool + [a for a in info.spanning_axes or () if a not in pool]
+    A = _direct_sum(by_name("matsuo_s3").A, by_name("twogen_14").A)
+    pools["matsuo_s3+twogen_14"] = A, list(A.designated_axes)
+    return pools
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_axis_pools())), st.data())
+def test_frobenius_solve_matches_full_system(name, data):
+    """Subsets of axes: free unknowns, non-spanning sets and, with a rescaled
+    repeat of an axis, inconsistent normalizations."""
+    A, pool = _axis_pools()[name]
+    axes = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool),
+                              unique_by=lambda a: a.coords))
+    scale = data.draw(st.sampled_from([None, -1, 2, HALF]))
+    if scale is not None:
+        axes.append(scale * axes[0])
+    solved = _outcome(frobenius_solve, A, axes)
+    if solved is not Inconsistent:
+        solved = (solved[0].gram, solved[1])
+    assert solved == _outcome(_reference_frobenius_solve, A, axes)
+
+
+def _reference_is_invariant(A, gram):
+    """(e_i e_j, e_k) = (e_i, e_j e_k) on every triple, from the products' form values."""
+    n, g = A.dim, gram.entries()
+    gc = [[[sum(c * g[l][k] for l, c in enumerate(cij)) for k in range(n)] for cij in plane]
+          for plane in A.structure]
+    return all(gc[i][j][k] == gc[j][k][i] for i, j, k in itertools.product(range(n), repeat=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_axis_pools())), st.data())
+def test_is_invariant_matches_full_check(name, data):
+    A, pool = _axis_pools()[name]
+    gram = frobenius_solve(A, pool[:1])[0].gram
+    assert GramForm(A, gram).is_invariant() and _reference_is_invariant(A, gram)
+    i = data.draw(st.integers(0, A.dim - 1))
+    j = data.draw(st.integers(i, A.dim - 1))
+    delta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4)
+                      .filter(bool))
+    entries = [list(r) for r in gram.entries()]
+    entries[i][j] += delta
+    entries[j][i] = entries[i][j]
+    perturbed = Matrix(entries)
+    assert GramForm(A, perturbed).is_invariant() == _reference_is_invariant(A, perturbed)
 
 
 def test_gram_spin_matches_bilinear_form():

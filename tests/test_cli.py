@@ -1,12 +1,16 @@
 """CLI and file I/O: JSON round trips, exit-code contract, parse errors."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from axialq.cli import MAX_WORD_DEPTH, main, parse_word, run_command
+from axialq.cli import MAX_WORD_DEPTH, _build_parser, main, parse_word, run_command
 from axialq.errors import ParseError
 from axialq.fileio import (
     AlgebraFile,
@@ -365,3 +369,133 @@ def test_verify_rejects_negative_counts(tmp_path, option):
     report, code = run_command(["verify", "identities", path, *option])
     assert code == 2 and report.status == "error"
     assert "nonnegative" in report.message
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        AlgebraFile.from_json(path.read_text())
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error" and "nested too deeply" in report["message"]
+
+
+# --- fuzzing the exit contract ---------------------------------------------------------
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(sub.choices)
+
+
+_SUBCOMMANDS = _subcommands()
+# -h prints argparse's help text to stdout by design, so it is never drawn
+_OPTIONS = [o for sub in _SUBCOMMANDS.values() for a in sub._actions
+            if not isinstance(a, argparse._HelpAction) for o in a.option_strings]
+# option values beyond each option's own choices: counts, rationals, index lists,
+# words and junk; all sizes small enough that any construction stays cheap
+_VALUES = ["-1", "0", "1", "2", "3", "all", "1/4", "0.5", "1,1", "1,-1,0", "0,1", "7",
+           "a", "(a*b)*a", "a*(b*c)", "((a", "", "x y"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    bases = []
+    for argv in (["construct", "matsuo", "--sn", "3"], ["construct", "twogen", "--alpha", "1/4"]):
+        report, code = run_command(argv)
+        assert code == 0
+        bases.append(report.findings["algebra"])
+    bases[1]["generators"] = bases[1]["axes"]
+    return d, bases
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, as the key/index path that reaches it."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate_file(data, base):
+    d = json.loads(json.dumps(base))
+    kind = data.draw(st.sampled_from(["drop", "retype", "truncate", "string"]))
+    if kind == "drop":
+        del d[data.draw(st.sampled_from(sorted(d)))]
+        return d
+    paths = [p for p in _paths(d) if p]
+    if kind == "truncate":
+        paths = [p for p in paths if isinstance(_get(d, p), list) and _get(d, p)]
+    elif kind == "string":  # the rationals: strings inside the table, axes or generators
+        paths = [p for p in paths if p[0] in ("table", "axes", "generators")
+                 and isinstance(_get(d, p), str)]
+    path = data.draw(st.sampled_from(paths))
+    parent, key = _get(d, path[:-1]), path[-1]
+    if kind == "truncate":
+        parent[key] = parent[key][:-1]
+    elif kind == "string":
+        parent[key] = data.draw(st.text(max_size=8))
+    else:
+        parent[key] = data.draw(st.sampled_from(
+            [None, True, 3, -1, 0.5, "1", "x", [], ["1"], [[]], {}, {"a": 1}]))
+    return d
+
+
+def _get(d, path):
+    for key in path:
+        d = d[key]
+    return d
+
+
+def _argv(data, file_path, out_path):
+    """A command line drawn from the parser's own commands, choices and options."""
+    command = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and not data.draw(st.booleans()):
+            continue
+        if action.option_strings:
+            argv.append(data.draw(st.sampled_from(action.option_strings)))
+            if action.nargs == 0:
+                continue
+        if action.choices:
+            argv.append(data.draw(st.sampled_from(sorted(action.choices))))
+        elif action.dest == "file":
+            argv.append(file_path)
+        elif action.dest == "out":
+            argv.append(out_path)
+        else:
+            argv.append(data.draw(st.sampled_from(_VALUES)))
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        if argv and data.draw(st.booleans()):
+            del argv[data.draw(st.integers(0, len(argv) - 1))]
+        else:
+            token = data.draw(st.sampled_from(sorted(_SUBCOMMANDS) + _OPTIONS + _VALUES))
+            argv.insert(data.draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_files_and_argv_keep_exit_contract(fuzz_dir, data):
+    """Whatever the file and the command line, the exit code is 0, 1 or 2 and
+    stdout is one JSON report."""
+    directory, bases = fuzz_dir
+    d = data.draw(st.sampled_from(bases))
+    if data.draw(st.booleans()):
+        d = _mutate_file(data, d)
+    file_path = str(directory / "alg.json")
+    with open(file_path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+    argv = _argv(data, file_path, str(directory / "out.json"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    Report.from_json(out.getvalue())

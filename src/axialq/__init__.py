@@ -23,7 +23,6 @@ from .axial import (
     eigendecompose,
     frobenius_projection,
     frobenius_solve,
-    is_semisimple,
     miyamoto,
     peirce_components,
     positive_definite_check,
@@ -31,7 +30,7 @@ from .axial import (
     quasi_definite_basis_check,
     radical,
 )
-from .exactla import Fraction, Matrix, SubspaceBasis, det, kernel_basis, rref, solve
+from .exactla import Fraction, Matrix, SubspaceBasis, kernel_basis, rref, solve
 from .jordanhalf import (
     CapacityResult,
     PairDecomposition,

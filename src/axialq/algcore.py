@@ -14,7 +14,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, CommutativityViolation, InvariantViolation, NotIdempotent
-from .exactla import Matrix, SubspaceBasis, _solve, vec
+from .exactla import Matrix, SubspaceBasis, solve, vec
 
 __all__ = [
     "Algebra",
@@ -158,14 +158,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def evaluate(self, generators: Sequence[Element]) -> Element:
-        def ev(t):
-            if isinstance(t, int):
-                return generators[t]
-            return multiply(ev(t[0]), ev(t[1]))
-
-        return ev(self.tree)
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.tree == other.tree
 
@@ -289,7 +281,7 @@ def find_unit(A: Algebra) -> Optional[Element]:
         for k in range(n):
             rows.append([A.structure[i][j][k] for i in range(n)])
             rhs.append(Fraction(1) if j == k else Fraction(0))
-    x, nullity = _solve(Matrix(rows), rhs)
+    x, nullity = solve(Matrix(rows), rhs)
     if x is None:
         return None
     if nullity:

@@ -27,7 +27,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, _solve, det, kernel_basis, rref
+from .exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
 __all__ = [
     "EigDecomposition",
@@ -42,7 +42,6 @@ __all__ = [
     "frobenius_projection",
     "frobenius_solve",
     "radical",
-    "is_semisimple",
     "quasi_definite_basis_check",
     "positive_definite_check",
     "peirce_components",
@@ -317,7 +316,7 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
                 if ai and aj:
                     row[index[i][j]] += ai * aj
         rows.append(row)
-    x, free_dim = _solve(Matrix(rows), rhs)
+    x, free_dim = solve(Matrix(rows), rhs)
     if x is None:
         raise Inconsistent("no invariant normalized form exists for these axes")
     return GramForm(A, Matrix([[x[u] for u in row] for row in index])), free_dim
@@ -334,10 +333,6 @@ def radical(A: Algebra, g: GramForm) -> SubspaceBasis:
         if ker.contains(a.coords):
             raise InvariantViolation("a designated axis lies in the radical")
     return ker
-
-
-def is_semisimple(A: Algebra, g: GramForm) -> bool:
-    return radical(A, g).is_zero()
 
 
 def quasi_definite_basis_check(
@@ -364,14 +359,20 @@ def quasi_definite_basis_check(
 
 
 def positive_definite_check(g: GramForm) -> bool:
-    """Sufficient test for definiteness: all leading principal minors positive.
+    """Exact positive-definiteness of the form, by Sylvester's criterion.
 
-    Over Q this is sufficient only; deciding anisotropy of a rational
-    quadratic form in general is out of scope.
+    Symmetric elimination without row swaps: while the earlier pivots are
+    positive, the k-th pivot is the ratio of the k-th to the (k-1)-th
+    leading principal minor, so all pivots are positive exactly when all
+    those minors are, which decides definiteness of a symmetric matrix.
     """
-    n = g.gram.rows
-    for k in range(1, n + 1):
-        minor = det(Matrix([[g.gram[i, j] for j in range(k)] for i in range(k)]))
-        if minor <= 0:
+    rows = [list(r) for r in g.gram.entries()]
+    for c, prow in enumerate(rows):
+        p = prow[c]
+        if p <= 0:
             return False
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / p
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
     return True

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algcore import Algebra, Element, find_unit, make_algebra
+from .algcore import Algebra, find_unit, make_algebra
 from .axial import HALF
 from .errors import (
     BadProductOrder,
@@ -19,14 +19,13 @@ from .errors import (
     InvariantViolation,
     NotInvolution,
 )
-from .exactla import Matrix, rref, solve, vec
+from .exactla import Matrix, rref, vec
 
 __all__ = [
     "Permutation",
     "MatsuoInput",
     "spin_factor",
     "matrix_jordan",
-    "qd_basis_matrix",
     "sym_jordan",
     "sym_jordan_prime",
     "matsuo",
@@ -266,15 +265,15 @@ def matrix_jordan(n: int) -> Algebra:
     return make_algebra(raw.dim, raw.basis_names, raw.structure, axes)
 
 
-def qd_basis_matrix(n: int) -> list[Element]:
-    """The constructed quasi-definite axis basis of M_n^(+)."""
-    return list(matrix_jordan(n).designated_axes)
-
-
 def _sym_names(n: int) -> tuple[list[tuple[int, int]], list[str]]:
     index = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     names = [f"e{i + 1}{i + 1}" if i == j else f"s{i + 1}{j + 1}" for i, j in index]
     return index, names
+
+
+def _symmetrized_table(mats: Sequence[Matrix], coords_of) -> list[list[list[Fraction]]]:
+    """Structure constants of (ab + ba)/2 on the basis mats, read by coords_of."""
+    return [[coords_of(((a @ b) + (b @ a)).scale(HALF)) for b in mats] for a in mats]
 
 
 def sym_jordan(n: int) -> Algebra:
@@ -295,18 +294,9 @@ def sym_jordan(n: int) -> Algebra:
             m[j][i] += 1
         return Matrix(m)
 
-    def coords_of(m: Matrix):
-        return [m[i, j] for i, j in index]
-
     dim = len(index)
-    mats = [as_matrix(k) for k in range(dim)]
-    structure = []
-    for a in mats:
-        plane = []
-        for b in mats:
-            p = ((a @ b) + (b @ a)).scale(HALF)
-            plane.append(coords_of(p))
-        structure.append(plane)
+    structure = _symmetrized_table([as_matrix(k) for k in range(dim)],
+                                   lambda m: [m[i, j] for i, j in index])
     axes = []
     for i in range(n):
         coords = [Fraction(0)] * dim
@@ -331,23 +321,20 @@ def sym_jordan_prime(n: int) -> Algebra:
     """Zero-row-sum symmetric matrices under the symmetrized product.
 
     Basis and designated axes: a_ij = (e_i - e_j)(e_i - e_j)^T / 2 for
-    i < j.  Closure under the product is asserted during construction.
+    i < j.  Only a_ij has a nonzero (i, j) entry, -1/2, so a zero-row-sum
+    symmetric p has coefficient -2 p[i, j] on a_ij.  Closure under the
+    product is asserted during construction.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    mats = _hn_prime_axes(n)
-    dim = len(mats)
-    flat = Matrix([[m[i, j] for i in range(n) for j in range(n)] for m in mats])
-    structure = []
-    for a in mats:
-        plane = []
-        for b in mats:
-            p = ((a @ b) + (b @ a)).scale(HALF)
-            coords = solve(flat.transpose(), [p[i, j] for i in range(n) for j in range(n)])
-            if coords is None:
-                raise InvariantViolation("product left the zero-row-sum subspace")
-            plane.append(coords)
-        structure.append(plane)
+
+    def coords_of(p: Matrix) -> list[Fraction]:
+        if any(sum(row) for row in p.entries()):
+            raise InvariantViolation("product left the zero-row-sum subspace")
+        return [-2 * p[i, j] for i in range(n) for j in range(i + 1, n)]
+
+    structure = _symmetrized_table(_hn_prime_axes(n), coords_of)
+    dim = len(structure)
     names = [f"a{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
     axes = [[Fraction(1) if k == t else Fraction(0) for k in range(dim)]
             for t in range(dim)]

@@ -20,7 +20,6 @@ __all__ = [
     "rref",
     "kernel_basis",
     "solve",
-    "det",
     "vec",
 ]
 
@@ -72,9 +71,6 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self._e[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self._e[i]
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self._e)
@@ -299,17 +295,12 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(m.cols, out)
 
 
-def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
-    """Some x with m x = rhs, or None when inconsistent.
+def solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
+    """Some x with m x = rhs (None when inconsistent) and the nullity of m.
 
     When the solution space is positive-dimensional the free variables are
     set to zero, so the result is deterministic.
     """
-    return _solve(m, rhs)[0]
-
-
-def _solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
-    """``solve(m, rhs)`` and the nullity of m, from one elimination."""
     rhs = vec(rhs)
     if len(rhs) != m.rows:
         raise ValueError("rhs length != number of rows")
@@ -322,32 +313,3 @@ def _solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
     for r, p in enumerate(pivots):
         x[p] = res.reduced[r, m.cols]
     return tuple(x), m.cols - res.rank
-
-
-def det(m: Matrix) -> Fraction:
-    """Determinant by Gaussian elimination with exact rationals."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    rows = [list(r) for r in m.entries()]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        result *= p
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * result
-

@@ -23,7 +23,6 @@ from axialq.exactla import SubspaceBasis
 from conftest import by_name, random_element
 
 F = Fraction
-HALF = F(1, 2)
 
 
 def _pair_algebra():
@@ -82,14 +81,10 @@ def test_ad_matrix_matches_products():
         assert m.col(j) == multiply(x, A.basis_element(j)).coords
 
 
-def test_word_evaluate_and_letters():
-    A = by_name("spin_11").A
-    a = A.element([HALF, HALF, F(0)])
-    b = A.element([HALF, F(0), HALF])
+def test_word_letters_and_length():
     w = Word(((0, 1), 0))
     assert w.letters == [0, 1, 0]
     assert len(w) == 3
-    assert w.evaluate([a, b]) == multiply(multiply(a, b), a)
 
 
 def test_subalgebra_and_ideal_closure():

@@ -14,7 +14,6 @@ from axialq import (
     eigendecompose,
     frobenius_projection,
     frobenius_solve,
-    is_semisimple,
     make_algebra,
     miyamoto,
     multiply,
@@ -122,7 +121,7 @@ def test_peirce_components_reassemble():
 def _stacked_solve_components(dec, x):
     """Reference split: x's coordinates on v0, v_half and the axis, by one solve."""
     cols = list(dec.v0.vectors) + list(dec.v_half.vectors) + [dec.axis.coords]
-    coords = solve(Matrix(cols).transpose(), x.coords)
+    coords, _ = solve(Matrix(cols).transpose(), x.coords)
     d0, dh = dec.v0.dim, dec.v_half.dim
     A = x.algebra
     return (A.element(dec.v0.lift(coords[:d0])),
@@ -244,7 +243,7 @@ def _reference_frobenius_solve(A, axes):
             row[gidx(i, j)] += a.coords[i] * a.coords[j]
         rows.append(row)
     m = Matrix(rows)
-    x = solve(m, rhs)
+    x, _ = solve(m, rhs)
     if x is None:
         raise Inconsistent("reference system is inconsistent")
     return Matrix([[x[gidx(i, j)] for j in range(n)] for i in range(n)]), m.cols - rref(m).rank
@@ -350,10 +349,10 @@ def test_radical_and_semisimplicity():
     bad = by_name("twogen_0")
     rad = radical(bad.A, bad.g)
     assert rad.dim == 1
-    assert not is_semisimple(bad.A, bad.g)
+    assert not rad.is_zero()
     for name in ("twogen_12", "matsuo_s3", "m2", "h3", "h4p"):
         info = by_name(name)
-        assert is_semisimple(info.A, info.g), name
+        assert radical(info.A, info.g).is_zero(), name
 
 
 def test_radical_rejects_non_ideal_kernel():
@@ -386,10 +385,97 @@ def test_quasi_definite_basis_check():
     assert witness2 is not None and witness2[2] == 1
 
 
+def _form_on_zero_algebra(rows):
+    """The symmetric matrix as a form on the n-dimensional zero algebra, where
+    every form is invariant."""
+    n = len(rows)
+    zero = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    return GramForm(make_algebra(n, [f"z{i}" for i in range(n)], zero), Matrix(rows))
+
+
 def test_positive_definite_check():
     assert positive_definite_check(by_name("h3").g)
     assert positive_definite_check(by_name("matsuo_s4").g)
     assert not positive_definite_check(by_name("twogen_0").g)
+    assert positive_definite_check(_form_on_zero_algebra([[2, 1], [1, 1]]))
+    assert not positive_definite_check(_form_on_zero_algebra([[1, 2], [2, 4]]))
+    # leading minors 1, 0, -1: the second pivot is 0
+    assert not positive_definite_check(_form_on_zero_algebra([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+
+
+_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+def _square(n):
+    return st.lists(st.lists(_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _gram_of(b):
+    """B^T B for the square matrix B given by its rows."""
+    n = len(b)
+    return [[sum((b[k][i] * b[k][j] for k in range(n)), F(0)) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def _symmetric_rows(draw, max_n=5):
+    """Symmetric matrices: B^T B + c I (often definite) or a random symmetric one."""
+    n = draw(st.integers(1, max_n))
+    b = draw(_square(n))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([F(0), F(1, 3), F(-1, 2)]))
+        return [[g + (c if i == j else 0) for j, g in enumerate(row)]
+                for i, row in enumerate(_gram_of(b))]
+    return [[b[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_rows())
+def test_positive_definite_check_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in r] for r in rows])
+    assert positive_definite_check(_form_on_zero_algebra(rows)) == s.is_positive_definite
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(_square))
+def test_positive_definite_iff_gram_of_nonsingular(b):
+    """B^T B is positive definite exactly when B has full rank."""
+    full_rank = rref(Matrix(b)).rank == len(b)
+    assert positive_definite_check(_form_on_zero_algebra(_gram_of(b))) == full_rank
+
+
+def test_positive_definite_forms_are_quasi_definite(algebras):
+    """(a - b, a - b) = 2 - 2(a, b) > 0 for distinct normalized axes of a definite form."""
+    definite = 0
+    for info in algebras:
+        if not positive_definite_check(info.g):
+            continue
+        definite += 1
+        for a, b in itertools.combinations(info.A.designated_axes, 2):
+            assert info.g.value(a, a) == info.g.value(b, b) == 1, info.name
+            assert info.g.value(a, b) < 1, info.name
+    assert 0 < definite < len(algebras)
+
+
+def test_invariance_checked_once_per_analysis(monkeypatch):
+    from axialq import axial
+    from axialq.cli import analyze_findings
+    from axialq.constructions import spin_factor
+    calls = []
+    original = axial.GramForm.is_invariant
+
+    def counting(form):
+        calls.append(form.algebra)
+        return original(form)
+
+    monkeypatch.setattr(axial.GramForm, "is_invariant", counting)
+    spanning, _ = matsuo(sn_transpositions(4))
+    not_spanning = spin_factor([1, 1])  # 2 axes in dimension 3
+    for A in (spanning, not_spanning):
+        calls.clear()
+        assert analyze_findings(A)["gram_invariant"]
+        assert calls == [A]
 
 
 def test_fusion_checked_only_where_read(monkeypatch):

@@ -13,7 +13,6 @@ from axialq.constructions import (
     hn_prime_matsuo_isomorphism_check,
     matrix_jordan,
     matsuo,
-    qd_basis_matrix,
     sn_transpositions,
     spin_factor,
     sym_jordan,
@@ -114,7 +113,7 @@ def test_matrix_jordan_product():
 
 def test_qd_basis_matrix_n2_reproduction():
     # the deterministic parameter scan yields these four rank-1 idempotents
-    axes = qd_basis_matrix(2)
+    axes = matrix_jordan(2).designated_axes
     coords = [a.coords for a in axes]
     assert coords[0] == (F(1), F(0), F(0), F(0))                 # e11
     assert (F(0), F(0), F(0), F(1)) in coords                    # e22
@@ -124,12 +123,12 @@ def test_qd_basis_matrix_n2_reproduction():
 
 def test_qd_basis_matrix_sizes_and_axis_quality():
     for n in (2, 3, 4):
-        axes = qd_basis_matrix(n)
+        axes = matrix_jordan(n).designated_axes
         assert len(axes) == n * n
         for a in axes:
             assert a.is_idempotent()
         # independence is certified inside the factory; spot-check n = 2 axes
-    for a in qd_basis_matrix(2):
+    for a in matrix_jordan(2).designated_axes:
         assert check_axis(a).is_primitive_axis
 
 

@@ -175,12 +175,17 @@ def test_word_to_axis_single_letter_and_pair():
 def test_word_to_axis_longer_words():
     info = by_name("matsuo_s4")
     G = list(info.A.designated_axes[:3])
+
+    def evaluate(tree):
+        if isinstance(tree, int):
+            return G[tree]
+        return multiply(evaluate(tree[0]), evaluate(tree[1]))
+
     for tree in [((0, 1), 2), ((0, 1), (1, 2)), (((0, 1), 2), 0)]:
-        w = Word(tree)
-        axis, scale, corr = word_to_axis(info.A, G, w, info.g)
+        axis, scale, corr = word_to_axis(info.A, G, Word(tree), info.g)
         assert axis.is_idempotent()
         assert info.g.value(axis, axis) == 1
-        assert scale * (w.evaluate(G) + corr) == axis
+        assert scale * (evaluate(tree) + corr) == axis
 
 
 def test_word_to_axis_repeated_letter():

@@ -49,6 +49,20 @@ def test_solve_zeroes_free_variables():
     assert solve(m, [F(2)]) == ((F(2), F(0), F(0)), 2)
 
 
+def test_det_and_inverse():
+    """det [[2,1],[1,1]] = 1: solve gives its inverse column by column;
+    det [[1,2],[2,4]] = 0: rank 1, and e_0 is not in its image."""
+    m = M([[2, 1], [1, 1]])
+    cols = [solve(m, [F(i == j) for i in range(2)]) for j in range(2)]
+    assert all(nullity == 0 for _, nullity in cols)
+    inv = Matrix([[cols[j][0][i] for j in range(2)] for i in range(2)])
+    assert inv == M([[1, -1], [-1, 2]])
+    assert m @ inv == M([[1, 0], [0, 1]])
+    singular = M([[1, 2], [2, 4]])
+    assert rref(singular).rank == 1
+    assert solve(singular, [F(1), F(0)]) == (None, 1)
+
+
 def test_matrix_rejects_floats():
     with pytest.raises(TypeError):
         Matrix([[0.5]])

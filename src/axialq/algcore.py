@@ -34,13 +34,16 @@ __all__ = [
 class Algebra:
     """Finite-dimensional commutative algebra over Q."""
 
-    __slots__ = ("dim", "basis_names", "structure", "designated_axes", "__weakref__")
+    __slots__ = ("dim", "basis_names", "structure", "terms", "designated_axes", "__weakref__")
 
     def __init__(self, dim: int, basis_names: Sequence[str], structure, axes=()):
         self.dim = dim
         self.basis_names = tuple(basis_names)
-        # structure[i][j] is the coordinate vector of (basis i) * (basis j)
+        # structure[i][j] is the coordinate vector of (basis i) * (basis j);
+        # terms[i][j] lists its nonzero (k, c[i][j][k]), the table products read
         self.structure = tuple(tuple(vec(row) for row in plane) for plane in structure)
+        self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+                           for plane in self.structure)
         self.designated_axes = tuple(
             a if isinstance(a, Element) else Element(self, a) for a in axes)
 
@@ -194,24 +197,18 @@ def make_algebra(dim: int, names: Sequence[str], structure, axes=()) -> Algebra:
 
 
 def multiply(x: Element, y: Element) -> Element:
-    """Bilinear product from the structure constants."""
+    """Bilinear product from the nonzero structure constants."""
     x._same(y)
     alg = x.algebra
-    n = alg.dim
-    out = [Fraction(0)] * n
-    table = alg.structure
+    out = [Fraction(0)] * alg.dim
+    ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
     for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y.coords):
-            if yj == 0:
-                continue
-            c = xi * yj
-            prod = row[j]
-            for k in range(n):
-                if prod[k] != 0:
-                    out[k] += c * prod[k]
+        if xi:
+            row = alg.terms[i]
+            for j, yj in ys:
+                c = xi * yj
+                for k, ck in row[j]:
+                    out[k] += c * ck
     return Element(alg, out)
 
 
@@ -222,46 +219,31 @@ def ad_matrix(x: Element) -> Matrix:
     return Matrix(cols).transpose()
 
 
-def subalgebra_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
-    """Smallest subspace containing the seed and closed under the product.
-
-    Iterates pairwise products of the current canonical basis, in
-    lexicographic (i, j) order, until the dimension stabilizes.
-    """
-    if not seed:
-        raise ValueError("seed must be nonempty")
+def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
+    """Grow the span of the seed by the products of pairs(canonical basis)
+    until none leaves it; the canonical RREF makes the order immaterial."""
     span = SubspaceBasis(A.dim, [s.coords for s in seed])
     while True:
         new_vectors = list(span.vectors)
-        grew = False
-        basis = [Element(A, v) for v in span.vectors]
-        for i, u in enumerate(basis):
-            for v in basis[i:]:
-                p = multiply(u, v)
-                if not span.contains(p.coords):
-                    new_vectors.append(p.coords)
-                    grew = True
-        if not grew:
+        for u, v in pairs([Element(A, w) for w in span.vectors]):
+            p = multiply(u, v)
+            if not span.contains(p.coords):
+                new_vectors.append(p.coords)
+        if len(new_vectors) == len(span.vectors):
             return span
         span = SubspaceBasis(A.dim, new_vectors)
+
+
+def subalgebra_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
+    """Smallest subspace containing the seed and closed under the product."""
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    return _closure(A, seed, lambda basis: itertools.combinations_with_replacement(basis, 2))
 
 
 def ideal_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
     """Smallest subspace containing the seed and absorbing under the product."""
-    span = SubspaceBasis(A.dim, [s.coords for s in seed])
-    while True:
-        new_vectors = list(span.vectors)
-        grew = False
-        for v in span.vectors:
-            ev = Element(A, v)
-            for j in range(A.dim):
-                p = multiply(ev, A.basis_element(j))
-                if not span.contains(p.coords):
-                    new_vectors.append(p.coords)
-                    grew = True
-        if not grew:
-            return span
-        span = SubspaceBasis(A.dim, new_vectors)
+    return _closure(A, seed, lambda basis: itertools.product(basis, A.basis_elements()))
 
 
 def find_unit(A: Algebra) -> Optional[Element]:
@@ -337,9 +319,9 @@ def jordan_identity_check(A: Algebra) -> bool:
     n = A.dim
     # Scale the table by the common denominator d: each term is a triple
     # product, so both sides scale by d**3 and the zero test stays exact.
-    d = lcm(*(c.denominator for plane in A.structure for row in plane for c in row))
-    table = [[[(k, c.numerator * (d // c.denominator)) for k, c in enumerate(row) if c]
-              for row in plane] for plane in A.structure]
+    d = lcm(*(c.denominator for plane in A.terms for row in plane for _, c in row))
+    table = [[[(k, c.numerator * (d // c.denominator)) for k, c in row]
+              for row in plane] for plane in A.terms]
 
     def times_basis(x: list[int], b: int) -> list[int]:
         out = [0] * n

@@ -217,10 +217,8 @@ def _invariance_equations(A: Algebra) -> tuple[list[list[int]], list[list[tuple[
     index = [[0] * n for _ in range(n)]
     for u, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
         index[p][q] = index[q][p] = u
-    terms = [[[(l, c) for l, c in enumerate(cij) if c] for cij in plane]
-             for plane in A.structure]
-    return index, [[(index[l][k], c) for l, c in terms[i][j]]
-                   + [(index[i][l], -c) for l, c in terms[j][k]]
+    return index, [[(index[l][k], c) for l, c in A.terms[i][j]]
+                   + [(index[i][l], -c) for l, c in A.terms[j][k]]
                    for j in range(n) for i in range(n) for k in range(i + 1, n)]
 
 

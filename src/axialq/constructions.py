@@ -433,9 +433,8 @@ def hn_prime_matsuo_isomorphism_check(
         raise ValueError("correspondence is not a permutation")
     for i in range(dim):
         for j in range(dim):
-            for k in range(dim):
-                if H.structure[i][j][k] != M.structure[corr[i]][corr[j]][corr[k]]:
-                    return False
+            if sorted((corr[k], c) for k, c in H.terms[i][j]) != list(M.terms[corr[i]][corr[j]]):
+                return False
     # trace Gram of H_n' vs the predicted Matsuo Gram
     mats = _hn_prime_axes(n)
     for i in range(dim):

@@ -107,7 +107,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ot = other.transpose()._e
-        return Matrix([[sum(a * b for a, b in zip(r, c)) for c in ot]
+        return Matrix([[sum(a * b for a, b in zip(r, c) if a and b) for c in ot]
                        for r in self._e])
 
     def apply(self, v: Sequence) -> Vector:

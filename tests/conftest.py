@@ -16,7 +16,15 @@ from typing import Optional
 
 import pytest
 
-from axialq import Algebra, Element, GramForm, find_unit, frobenius_projection, frobenius_solve
+from axialq import (
+    Algebra,
+    Element,
+    GramForm,
+    find_unit,
+    frobenius_projection,
+    frobenius_solve,
+    make_algebra,
+)
 from axialq.constructions import (
     matrix_jordan,
     matsuo,
@@ -149,6 +157,18 @@ def circle_axes(count: int = 16) -> tuple[Element, ...]:
     return tuple(out)
 
 
+def direct_sum(A: Algebra, B: Algebra) -> Algebra:
+    """A + B with the product of A on the first coordinates and of B on the rest."""
+    n, z = A.dim + B.dim, Fraction(0)
+    table = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for X, off in ((A, 0), (B, A.dim)):
+        for i, j, k in itertools.product(range(X.dim), repeat=3):
+            table[off + i][off + j][off + k] = X.structure[i][j][k]
+    embed = [(z,) * off + a.coords + (z,) * (n - off - X.dim)
+             for X, off in ((A, 0), (B, A.dim)) for a in X.designated_axes]
+    return make_algebra(n, [f"e{i}" for i in range(n)], table, embed)
+
+
 def by_name(name: str) -> AlgInfo:
     for info in registry():
         if info.name == name:
@@ -195,7 +215,7 @@ _ACCEPTANCE: dict[str, str] = {}
 
 
 def pytest_runtest_logreport(report):
-    if "test_acceptance" not in report.nodeid:
+    if not report.nodeid.split("::")[0].endswith("test_acceptance.py"):
         return
     name = report.nodeid.split("::")[-1]
     if report.when == "call":

@@ -16,7 +16,6 @@ from axialq import (
     build_unit,
     capacity_decomposition,
     check_axis,
-    check_fusion,
     eigendecompose,
     find_unit,
     frobenius_projection,

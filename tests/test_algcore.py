@@ -1,6 +1,6 @@
 """Algebra core: construction, products, closures, units, restriction."""
 
-import itertools
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from axialq import (
     Word,
     ad_matrix,
+    eigendecompose,
     find_unit,
     ideal_closure,
     jordan_identity_check,
@@ -19,8 +20,9 @@ from axialq import (
 )
 from axialq.errors import AlgebraMismatch, CommutativityViolation, NotIdempotent
 from axialq.exactla import SubspaceBasis
+from axialq.fileio import AlgebraFile
 
-from conftest import by_name, random_element
+from conftest import by_name, direct_sum, random_element, registry
 
 F = Fraction
 
@@ -126,7 +128,6 @@ def test_find_unit_absent():
 def test_restrict_to_subspace_roundtrip():
     info = by_name("h3")
     A = info.A
-    from axialq import eigendecompose
     dec = eigendecompose(A.designated_axes[0])
     sub, _ = restrict_to_subspace(A, dec.v0)
     assert sub.dim == dec.v0.dim
@@ -174,3 +175,45 @@ def test_spin_product_commutes(xc, yc):
     A = by_name("spin_11").A
     x, y = A.element(xc), A.element(yc)
     assert multiply(x, y) == multiply(y, x)
+
+
+@functools.cache
+def _product_algebras():
+    """The conftest algebras, one restriction to a Peirce 0-space, and a direct sum."""
+    out = {info.name: info.A for info in registry()}
+    h3 = by_name("h3").A
+    out["h3_v0"], _ = restrict_to_subspace(h3, eigendecompose(h3.designated_axes[0]).v0)
+    out["matsuo_s3+twogen_14"] = direct_sum(by_name("matsuo_s3").A, by_name("twogen_14").A)
+    return out
+
+
+_COORD = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_product_algebras())), st.data())
+def test_multiply_matches_dense_sum(name, data):
+    A = _product_algebras()[name]
+    x, y = (A.element(data.draw(st.lists(_COORD, min_size=A.dim, max_size=A.dim)))
+            for _ in range(2))
+    n, c = A.dim, A.structure
+    dense = [sum((x.coords[i] * y.coords[j] * c[i][j][k]
+                  for i in range(n) for j in range(n)), F(0)) for k in range(n)]
+    assert multiply(x, y).coords == tuple(dense)
+
+
+def _assert_terms_are_nonzero_structure(A):
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ks = [k for k, _ in A.terms[i][j]]
+            assert ks == sorted(set(ks)) and all(c != 0 for _, c in A.terms[i][j])
+            assert [dict(A.terms[i][j]).get(k, 0) for k in range(A.dim)] == list(A.structure[i][j])
+
+
+def test_terms_list_the_nonzero_structure_constants():
+    A = by_name("matsuo_s4").A
+    sub, _ = restrict_to_subspace(A, eigendecompose(A.designated_axes[0]).v0)
+    loaded = AlgebraFile.from_json(AlgebraFile.from_algebra("s4", A).to_json()).algebra
+    for X in (_pair_algebra(), A, sub, loaded):
+        _assert_terms_are_nonzero_structure(X)
+    assert loaded.terms == A.terms

@@ -45,3 +45,43 @@ def test_bench_targets_resolve(monkeypatch):
         if len(path) == 2:
             owner = getattr(owner, path[0], None)
         assert owner is not None and path[-1] in vars(owner), name
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the package __init__ imports only to re-export; test_package_reexports_exist covers it
+SOURCES = [p for p in sorted((ROOT / "src" / "axialq").glob("*.py")) if p.name != "__init__.py"] \
+    + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, plus `__all__` and parameters (a test's
+    parameter may name a fixture that an import provides)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used.add(node.arg)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used_names(tree)
+    assert {n: line for n, line in _imported_names(tree).items() if n not in used} == {}

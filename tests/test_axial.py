@@ -32,7 +32,7 @@ from axialq.errors import (
 from axialq.constructions import matsuo, sn_transpositions
 from axialq.exactla import Matrix, rref, solve
 
-from conftest import by_name, circle_axes, registry
+from conftest import by_name, direct_sum
 
 F = Fraction
 HALF = F(1, 2)
@@ -256,18 +256,6 @@ def _outcome(fn, *args):
         return Inconsistent
 
 
-def _direct_sum(A, B):
-    """A + B with the product of A on the first coordinates and of B on the rest."""
-    n, z = A.dim + B.dim, F(0)
-    table = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for X, off in ((A, 0), (B, A.dim)):
-        for i, j, k in itertools.product(range(X.dim), repeat=3):
-            table[off + i][off + j][off + k] = X.structure[i][j][k]
-    embed = [(z,) * off + a.coords + (z,) * (n - off - X.dim)
-             for X, off in ((A, 0), (B, A.dim)) for a in X.designated_axes]
-    return make_algebra(n, [f"e{i}" for i in range(n)], table, embed)
-
-
 @functools.cache
 def _axis_pools():
     """Algebras with every axis known here.  A subset of the axes of B(0) or
@@ -277,7 +265,7 @@ def _axis_pools():
         info = by_name(name)
         pool = list(info.A.designated_axes)
         pools[name] = info.A, pool + [a for a in info.spanning_axes or () if a not in pool]
-    A = _direct_sum(by_name("matsuo_s3").A, by_name("twogen_14").A)
+    A = direct_sum(by_name("matsuo_s3").A, by_name("twogen_14").A)
     pools["matsuo_s3+twogen_14"] = A, list(A.designated_axes)
     return pools
 

@@ -1,7 +1,6 @@
 """Example-algebra factories: spin factors, matrix Jordan algebras, symmetric
 matrices, Matsuo algebras, the two-generated family, and the isomorphism check."""
 
-import itertools
 from fractions import Fraction
 
 import pytest

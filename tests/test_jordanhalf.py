@@ -11,7 +11,6 @@ from axialq import (
     build_unit,
     capacity_decomposition,
     eigendecompose,
-    find_unit,
     multiply,
     pair_decompose,
     pair_identity_suite,

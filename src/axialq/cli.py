@@ -10,6 +10,7 @@ import argparse
 import itertools
 import os
 import random
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -102,7 +103,8 @@ def analyze_findings(A: Algebra) -> dict:
     return findings
 
 
-def _analysis_passed(findings: dict) -> bool:
+def _analyze(af: AlgebraFile, args, findings: dict) -> bool:
+    findings.update(analyze_findings(af.algebra))
     axis_ok = all(a["idempotent"] and a["semisimple"] and a["primitive"] and a["fusion"]
                   for a in findings["axes"])
     agree = findings["gram_notes"].get("constructions_agree", True)
@@ -111,15 +113,18 @@ def _analysis_passed(findings: dict) -> bool:
         and findings["jordan"]
 
 
-def _construct(args) -> tuple[AlgebraFile, dict]:
+def _construct(_, args, findings: dict) -> bool:
+    """build one of the example algebras"""
     extras: dict = {}
     if args.kind == "spin":
         diag = [parse_rational(x) for x in args.diag.split(",")]
         A = constructions.spin_factor(diag)
         name = f"spin({args.diag})"
-    elif args.kind == "matrix":
+    elif args.kind in ("matrix", "qdbasis"):
         A = constructions.matrix_jordan(args.n)
         name = f"M{args.n}+"
+        if args.kind == "qdbasis":
+            extras["qd_basis"] = [_coords(a) for a in A.designated_axes]
     elif args.kind == "hn":
         A = constructions.sym_jordan(args.n)
         name = f"H{args.n}"
@@ -130,17 +135,18 @@ def _construct(args) -> tuple[AlgebraFile, dict]:
         A, gram = constructions.matsuo(constructions.sn_transpositions(args.sn))
         extras["predicted_gram"] = _matrix_strings(gram)
         name = f"Matsuo(S{args.sn})"
-    elif args.kind == "twogen":
+    else:  # twogen
         alpha = parse_rational(args.alpha)
         A = constructions.two_gen_algebra(alpha)
         name = f"B({alpha})"
-    elif args.kind == "qdbasis":
-        A = constructions.matrix_jordan(args.n)
-        name = f"M{args.n}+"
-        extras["qd_basis"] = [_coords(a) for a in A.designated_axes]
-    else:  # pragma: no cover - argparse restricts choices
-        raise AxialError(f"unknown construction {args.kind}")
-    return AlgebraFile.from_algebra(name, A), extras
+    af = AlgebraFile.from_algebra(name, A)
+    findings.update(name=name, dimension=A.dim, **extras)
+    if args.out:
+        atomic_write(args.out, af.to_json())
+        findings["out"] = args.out
+    else:
+        findings["algebra"] = af.to_dict()
+    return True
 
 
 def _load(path: str) -> AlgebraFile:
@@ -172,23 +178,10 @@ def parse_word(expr: str, names: Sequence[str]) -> Word:
 
     Words nested deeper than ``MAX_WORD_DEPTH`` are rejected with ParseError.
     """
-    tokens = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()*":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                j += 1
-            tokens.append(expr[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in word expression")
+    tokens = re.findall(r"\w+|\S", expr)
+    for tok in tokens:
+        if tok not in "()*" and not re.match(r"\w", tok):
+            raise ParseError(f"unexpected character {tok!r} in word expression")
     pos = 0
 
     def peek():
@@ -237,13 +230,6 @@ def _generator_names(count: int) -> list[str]:
     return [chr(ord("a") + k) if k < 26 else f"g{k}" for k in range(count)]
 
 
-def _seed(args) -> int:
-    env = os.environ.get("AXIAL_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
-
-
 def _count(value, option: str) -> int:
     n = int(value)
     if n < 0:
@@ -251,13 +237,62 @@ def _count(value, option: str) -> int:
     return n
 
 
-def _cmd_verify(af: AlgebraFile, args) -> tuple[dict, bool]:
+def _frobenius(af: AlgebraFile, args, findings: dict) -> bool:
+    g, notes = gram_for(af.algebra)
+    invariant = notes["axes_span"] or g.is_invariant()
+    findings.update(gram=_matrix_strings(g.gram), notes=notes, invariant=invariant)
+    return invariant and notes.get("constructions_agree", True)
+
+
+def _radical(af: AlgebraFile, args, findings: dict) -> bool:
+    g, _ = gram_for(af.algebra)
+    rad = radical(af.algebra, g)
+    findings.update(radical_dim=rad.dim,
+                    radical_basis=[[format_rational(c) for c in v] for v in rad.vectors],
+                    semisimple=rad.is_zero())
+    return True
+
+
+def _capacity(af: AlgebraFile, args, findings: dict) -> bool:
+    A = af.algebra
+    gens = _generators(af, args.generators)
+    g, _ = gram_for(A)
+    e = find_unit(A)
+    if e is None:
+        raise AxialError("the algebra has no unit")
+    result = capacity_decomposition(A, gens, e, g)
+    findings.update(capacity=result.capacity,
+                    summands=[_coords(s) for s in result.summands],
+                    level_sizes=[len(level) for _, level in result.pivot_trace])
+    return True
+
+
+def _chain(af: AlgebraFile, args, findings: dict) -> bool:
+    g, _ = gram_for(af.algebra)
+    findings["dims"] = special_chain(af.algebra, _generators(af, None), g).dims
+    return True
+
+
+def _unit(af: AlgebraFile, args, findings: dict) -> bool:
+    A = af.algebra
+    e = find_unit(A)
+    findings["unit"] = _coords(e) if e is not None else None
+    if not args.recursive:
+        return True
+    g, _ = gram_for(A)
+    built = build_unit(A, list(A.designated_axes), g)
+    findings["recursive_unit"] = _coords(built)
+    findings["agree"] = built == e
+    return built == e
+
+
+def _verify(af: AlgebraFile, args, findings: dict) -> bool:
     pair_count = None if args.pairs == "all" else _count(args.pairs, "--pairs")
     triple_count = _count(args.triples, "--triples")
     A = af.algebra
     g, _ = gram_for(A)
     axes = list(A.designated_axes)
-    seed = _seed(args)
+    seed = int(os.environ.get("AXIAL_SEED", DEFAULT_SEED))
     rng = random.Random(seed)
     all_pairs = list(itertools.combinations(range(len(axes)), 2))
     if pair_count is None:
@@ -288,47 +323,69 @@ def _cmd_verify(af: AlgebraFile, args) -> tuple[dict, bool]:
                             "rhs": format_rational(res.rhs),
                             "equal": res.equal})
             ok = ok and res.equal
-    findings = {"seed": seed, "pairs_checked": len(pairs), "pair_results": results,
-                "triple_results": triples}
-    return findings, ok
+    findings.update(seed=seed, pairs_checked=len(pairs), pair_results=results,
+                    triple_results=triples)
+    return ok
+
+
+def _word_axis(af: AlgebraFile, args, findings: dict) -> bool:
+    A = af.algebra
+    gens = _generators(af, None)
+    word = parse_word(args.word, _generator_names(len(gens)))
+    g, _ = gram_for(A)
+    axis, scale, corr = word_to_axis(A, gens, word, g)
+    rep = check_axis(axis)
+    findings.update(axis=_coords(axis), scale=format_rational(scale),
+                    correction=_coords(corr), axis_primitive=rep.is_primitive_axis,
+                    axis_fusion=rep.fusion_ok)
+    return rep.is_primitive_axis and rep.fusion_ok
+
+
+_FILE = ("file", {})
+
+# Every command: the function that runs it, called as handler(af, args, findings)
+# with the loaded algebra file (None for construct, which reads none), and its
+# arguments in the order the parser takes them; a handler's docstring is the
+# command's help line.  A handler fills findings in place, so an error report
+# keeps what was found before the error, and returns whether every property it
+# checks holds.
+COMMANDS = {
+    "construct": (_construct, [
+        ("kind", {"choices": ["spin", "matrix", "hn", "hnprime", "matsuo", "twogen",
+                              "qdbasis"]}),
+        ("--diag", {"default": "1,1", "help": "spin factor diagonal, e.g. 1,1"}),
+        ("--n", {"type": int, "default": 2}),
+        ("--sn", {"type": int, "default": 3, "help": "symmetric group degree for matsuo"}),
+        ("--alpha", {"default": "1/2", "help": "form value for twogen"}),
+        ("--out", {"help": "write the algebra file here (atomic)"}),
+    ]),
+    "analyze": (_analyze, [_FILE]),
+    "frobenius": (_frobenius, [_FILE]),
+    "radical": (_radical, [_FILE]),
+    "chain": (_chain, [_FILE]),
+    "capacity": (_capacity, [
+        _FILE, ("--generators", {"help": "comma-separated indices into the axes list"})]),
+    "unit": (_unit, [
+        _FILE, ("--recursive", {"action": "store_true",
+                                "help": "also run the recursive eigenspace construction"})]),
+    "verify": (_verify, [
+        ("what", {"choices": ["identities"]}), _FILE,
+        ("--pairs", {"default": "all", "help": "'all' or a sample count"}),
+        ("--triples", {"default": 0}),
+    ]),
+    "word-axis": (_word_axis, [
+        _FILE, ("--word", {"required": True,
+                           "help": "parenthesized product over generators a, b, c, ..."})]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="axialq", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    c = sub.add_parser("construct", help="build one of the example algebras")
-    c.add_argument("kind", choices=["spin", "matrix", "hn", "hnprime", "matsuo",
-                                    "twogen", "qdbasis"])
-    c.add_argument("--diag", default="1,1", help="spin factor diagonal, e.g. 1,1")
-    c.add_argument("--n", type=int, default=2)
-    c.add_argument("--sn", type=int, default=3, help="symmetric group degree for matsuo")
-    c.add_argument("--alpha", default="1/2", help="form value for twogen")
-    c.add_argument("--out", help="write the algebra file here (atomic)")
-
-    for name in ("analyze", "frobenius", "radical", "chain"):
-        q = sub.add_parser(name)
-        q.add_argument("file")
-
-    q = sub.add_parser("capacity")
-    q.add_argument("file")
-    q.add_argument("--generators", help="comma-separated indices into the axes list")
-
-    q = sub.add_parser("unit")
-    q.add_argument("file")
-    q.add_argument("--recursive", action="store_true",
-                   help="also run the recursive eigenspace construction")
-
-    q = sub.add_parser("verify")
-    q.add_argument("what", choices=["identities"])
-    q.add_argument("file")
-    q.add_argument("--pairs", default="all", help="'all' or a sample count")
-    q.add_argument("--triples", default=0)
-
-    q = sub.add_parser("word-axis")
-    q.add_argument("file")
-    q.add_argument("--word", required=True,
-                   help="parenthesized product over generators a, b, c, ...")
+    for name, (handler, arguments) in COMMANDS.items():
+        q = sub.add_parser(name, **({"help": handler.__doc__} if handler.__doc__ else {}))
+        for flag, options in arguments:
+            q.add_argument(flag, **options)
     return p
 
 
@@ -342,108 +399,12 @@ def run_command(argv: Sequence[str]) -> tuple[Report, int]:
         return Report(command=" ".join(argv), status="error" if code else "pass",
                       message="usage error" if code else ""), code
 
-    command = args.cmd
     inputs = {k: v for k, v in vars(args).items() if k != "cmd" and v is not None}
-    report = Report(command=command, inputs=inputs)
+    report = Report(command=args.cmd, inputs=inputs)
+    handler, _ = COMMANDS[args.cmd]
     try:
-        if command == "construct":
-            af, extras = _construct(args)
-            report.findings = {"name": af.name, "dimension": af.algebra.dim, **extras}
-            text = af.to_json()
-            if args.out:
-                atomic_write(args.out, text)
-                report.findings["out"] = args.out
-            else:
-                report.findings["algebra"] = af.to_dict()
-            report.status = "pass"
-
-        elif command == "analyze":
-            af = _load(args.file)
-            findings = analyze_findings(af.algebra)
-            report.findings = findings
-            report.status = "pass" if _analysis_passed(findings) else "fail"
-
-        elif command == "frobenius":
-            af = _load(args.file)
-            g, notes = gram_for(af.algebra)
-            report.findings = {"gram": _matrix_strings(g.gram), "notes": notes,
-                               "invariant": notes["axes_span"] or g.is_invariant()}
-            ok = report.findings["invariant"] and notes.get("constructions_agree", True)
-            report.status = "pass" if ok else "fail"
-
-        elif command == "radical":
-            af = _load(args.file)
-            g, _ = gram_for(af.algebra)
-            rad = radical(af.algebra, g)
-            report.findings = {"radical_dim": rad.dim,
-                               "radical_basis": [[format_rational(c) for c in v]
-                                                 for v in rad.vectors],
-                               "semisimple": rad.is_zero()}
-            report.status = "pass"
-
-        elif command == "capacity":
-            af = _load(args.file)
-            A = af.algebra
-            gens = _generators(af, args.generators)
-            g, _ = gram_for(A)
-            e = find_unit(A)
-            if e is None:
-                raise AxialError("the algebra has no unit")
-            result = capacity_decomposition(A, gens, e, g)
-            report.findings = {
-                "capacity": result.capacity,
-                "summands": [_coords(s) for s in result.summands],
-                "level_sizes": [len(level) for _, level in result.pivot_trace],
-            }
-            report.status = "pass"
-
-        elif command == "chain":
-            af = _load(args.file)
-            A = af.algebra
-            g, _ = gram_for(A)
-            gens = _generators(af, None)
-            chain = special_chain(A, gens, g)
-            report.findings = {"dims": chain.dims}
-            report.status = "pass"
-
-        elif command == "unit":
-            af = _load(args.file)
-            A = af.algebra
-            e = find_unit(A)
-            report.findings = {"unit": _coords(e) if e is not None else None}
-            if args.recursive:
-                g, _ = gram_for(A)
-                built = build_unit(A, list(A.designated_axes), g)
-                report.findings["recursive_unit"] = _coords(built)
-                report.findings["agree"] = built == e
-                report.status = "pass" if built == e else "fail"
-            else:
-                report.status = "pass"
-
-        elif command == "verify":
-            af = _load(args.file)
-            findings, ok = _cmd_verify(af, args)
-            report.findings = findings
-            report.status = "pass" if ok else "fail"
-
-        elif command == "word-axis":
-            af = _load(args.file)
-            A = af.algebra
-            gens = _generators(af, None)
-            names = _generator_names(len(gens))
-            word = parse_word(args.word, names)
-            g, _ = gram_for(A)
-            axis, scale, corr = word_to_axis(A, gens, word, g)
-            rep = check_axis(axis)
-            report.findings = {
-                "axis": _coords(axis),
-                "scale": format_rational(scale),
-                "correction": _coords(corr),
-                "axis_primitive": rep.is_primitive_axis,
-                "axis_fusion": rep.fusion_ok,
-            }
-            report.status = "pass" if rep.is_primitive_axis and rep.fusion_ok else "fail"
-
+        af = _load(args.file) if "file" in args else None
+        report.status = "pass" if handler(af, args, report.findings) else "fail"
     except (ParseError, OSError, ValueError) as exc:
         report.status = "error"
         report.message = str(exc)

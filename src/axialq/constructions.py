@@ -182,8 +182,8 @@ def spin_factor(diag: Sequence) -> Algebra:
     return make_algebra(dim, names, structure, axes)
 
 
-def _matrix_jordan_raw(n: int) -> Algebra:
-    """M_n under A o B = (AB + BA)/2 on the basis e_ij, without axes."""
+def _matrix_jordan_raw(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
+    """Basis names e_ij and structure constants of M_n under A o B = (AB + BA)/2."""
     dim = n * n
 
     def idx(i, j):
@@ -201,7 +201,7 @@ def _matrix_jordan_raw(n: int) -> Algebra:
                     if l == i:
                         row[idx(k, j)] += HALF
     names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return make_algebra(dim, names, structure)
+    return names, structure
 
 
 def _qd_basis_pairs(n: int) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
@@ -242,7 +242,7 @@ def matrix_jordan(n: int) -> Algebra:
     """M_n^(+) with its quasi-definite basis of rank-1 axes designated."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    raw = _matrix_jordan_raw(n)
+    names, structure = _matrix_jordan_raw(n)
     pairs = _qd_basis_pairs(n)
     if len(pairs) != n * n:
         raise InvariantViolation("wrong quasi-definite basis size")
@@ -262,7 +262,7 @@ def matrix_jordan(n: int) -> Algebra:
             val = sum(a * b for a, b in zip(r1, l2)) * sum(a * b for a, b in zip(r2, l1))
             if val == 1:
                 raise InvariantViolation("quasi-definite basis has a pair of form value 1")
-    return make_algebra(raw.dim, raw.basis_names, raw.structure, axes)
+    return make_algebra(n * n, names, structure, axes)
 
 
 def _sym_names(n: int) -> tuple[list[tuple[int, int]], list[str]]:

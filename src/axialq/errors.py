@@ -55,10 +55,6 @@ class SameAxis(AxialError):
     pass
 
 
-class DegenerateDenominator(AxialError):
-    pass
-
-
 class RecursionBasisFailure(AxialError):
     """Projected axes fail to span the 0-eigenspace during unit recursion."""
 

@@ -30,7 +30,6 @@ from .axial import (
     radical,
 )
 from .errors import (
-    DegenerateDenominator,
     FormValueOne,
     InvariantViolation,
     NotIdempotent,
@@ -206,9 +205,7 @@ def triple_form_identity(a: Element, b: Element, c: Element,
     beta = g.value(b, c)
     if alpha == 1 or gamma == 1:
         raise FormValueOne("(a,b) or (a,c) equals 1")
-    denom = -alpha * gamma + alpha + gamma - 1
-    if denom == 0:
-        raise DegenerateDenominator("-alpha*gamma + alpha + gamma - 1 = 0")
+    denom = -alpha * gamma + alpha + gamma - 1  # = -(alpha - 1)(gamma - 1), nonzero here
     phi = g.value(multiply(a, b), c)
     lhs = g.value(x_of(a, b, g), x_of(a, c, g))
     rhs = (-alpha * gamma - beta + 2 * phi) / denom
@@ -400,9 +397,7 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
     # invariants of the result
     if len(summands) > len(G):
         raise InvariantViolation("more summands than generators")
-    total = A.zero()
     for i, s in enumerate(summands):
-        total = total + s
         try:
             primitive_decomposition(s)
         except (NotIdempotent, NotPrimitiveAxis):
@@ -410,8 +405,6 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
         for t in summands[i + 1:]:
             if not multiply(s, t).is_zero():
                 raise InvariantViolation("summands are not pairwise orthogonal")
-    if total != e:
-        raise InvariantViolation("summands do not add up to the unit")
     return CapacityResult(summands=tuple(summands), pivot_trace=tuple(trace),
                           residual=residual)
 

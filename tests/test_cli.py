@@ -113,6 +113,88 @@ def test_parse_word_depth_limit():
             parse_word(expr, ["a"])
 
 
+def _reference_parse_word(expr, names):
+    """parse_word as a character scanner plus recursive descent: the reference."""
+    tokens = []
+    i = 0
+    while i < len(expr):
+        ch = expr[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()*":
+            tokens.append(ch)
+            i += 1
+        elif ch.isalnum() or ch == "_":
+            j = i
+            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
+                j += 1
+            tokens.append(expr[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} in word expression")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def checked(depth):
+        if depth > MAX_WORD_DEPTH:
+            raise ParseError(f"word is nested deeper than {MAX_WORD_DEPTH} levels")
+        return depth
+
+    def factor(nesting):
+        nonlocal pos
+        tok = peek()
+        if tok == "(":
+            pos += 1
+            node = product(checked(nesting + 1))
+            if peek() != ")":
+                raise ParseError("missing closing parenthesis")
+            pos += 1
+            return node
+        if tok is None or tok in "()*":
+            raise ParseError(f"expected a generator name, got {tok!r}")
+        pos += 1
+        if tok not in names:
+            raise ParseError(f"unknown generator {tok!r}; known: {list(names)}")
+        return names.index(tok), 0
+
+    def product(nesting):
+        nonlocal pos
+        node, depth = factor(nesting)
+        while peek() == "*":
+            pos += 1
+            right, right_depth = factor(nesting)
+            node, depth = (node, right), checked(1 + max(depth, right_depth))
+        return node, depth
+
+    tree, _ = product(0)
+    if pos != len(tokens):
+        raise ParseError(f"trailing tokens in word expression: {tokens[pos:]}")
+    return tree
+
+
+# letters, digits, "_", non-ASCII word characters (a superscript, an Arabic-Indic
+# digit, a Roman numeral), spaces of several kinds, the operators and punctuation,
+# a combining accent and a zero-width space (neither a word character nor a space)
+_WORD_PIECES = ["a", "b", "1", "_", "\u00b2", "\u0663", "\u216b", " ", "\t", "\u00a0",
+                "(", ")", "*", "**", "$", "@", ".", ",", "-", "'", "\u0301", "\u200b"]
+_WORD_NAMES = ["a", "b", "ab", "a_1", "b\u00b2", "\u0663", "\u216b"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_WORD_PIECES), max_size=14).map("".join))
+def test_parse_word_matches_reference_scanner(expr):
+    try:
+        expected = _reference_parse_word(expr, _WORD_NAMES)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_word(expr, _WORD_NAMES)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_word(expr, _WORD_NAMES).tree == expected
+
+
 @pytest.mark.parametrize("word", ["(" * 3000 + "a" + ")" * 3000,
                                   "*".join(["a"] * 3000),
                                   "a*" + "(a*" * 3000 + "a" + ")" * 3000],
@@ -284,6 +366,16 @@ def test_exit_code_error_on_undersized_recursive_unit(tmp_path):
     assert code == 0
     report, code = run_command(["unit", path, "--recursive"])
     assert code == 2 and report.status == "error"
+    # the error report keeps the findings made before the error
+    assert report.findings == {"unit": None}
+
+
+def test_construct_error_keeps_name_and_dimension(tmp_path):
+    out = str(tmp_path / "missing" / "spin.json")  # its directory does not exist
+    report, code = run_command(["construct", "spin", "--out", out])
+    assert code == 2 and report.status == "error"
+    assert report.findings == {"name": "spin(1,1)", "dimension": 3}
+    assert not os.path.exists(out)
 
 
 def test_main_writes_json(capsys, tmp_path):

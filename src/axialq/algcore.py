@@ -36,7 +36,7 @@ class Algebra:
 
     __slots__ = ("dim", "basis_names", "structure", "terms", "designated_axes", "__weakref__")
 
-    def __init__(self, dim: int, basis_names: Sequence[str], structure, axes=()):
+    def __init__(self, dim: int, basis_names: Sequence[str], structure):
         self.dim = dim
         self.basis_names = tuple(basis_names)
         # structure[i][j] is the coordinate vector of (basis i) * (basis j);
@@ -44,8 +44,7 @@ class Algebra:
         self.structure = tuple(tuple(vec(row) for row in plane) for plane in structure)
         self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
                            for plane in self.structure)
-        self.designated_axes = tuple(
-            a if isinstance(a, Element) else Element(self, a) for a in axes)
+        self.designated_axes: tuple[Element, ...] = ()
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -143,23 +142,6 @@ class Word:
             return tree
         left, right = tree
         return (Word._check(left), Word._check(right))
-
-    @property
-    def letters(self) -> list[int]:
-        out: list[int] = []
-
-        def walk(t):
-            if isinstance(t, int):
-                out.append(t)
-            else:
-                walk(t[0])
-                walk(t[1])
-
-        walk(self.tree)
-        return out
-
-    def __len__(self):
-        return len(self.letters)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.tree == other.tree

@@ -29,7 +29,7 @@ from .axial import (
     frobenius_solve,
     radical,
 )
-from .errors import AxialError, ParseError
+from .errors import AxialError, NotUnit, ParseError
 from .exactla import Matrix, rref
 from .fileio import AlgebraFile, Report, atomic_write, format_rational, parse_rational
 from .jordanhalf import (
@@ -230,8 +230,15 @@ def _generator_names(count: int) -> list[str]:
     return [chr(ord("a") + k) if k < 26 else f"g{k}" for k in range(count)]
 
 
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _count(value, option: str) -> int:
-    n = int(value)
+    n = _int(value, option)
     if n < 0:
         raise ParseError(f"{option} must be a nonnegative count, got {n}")
     return n
@@ -259,7 +266,7 @@ def _capacity(af: AlgebraFile, args, findings: dict) -> bool:
     g, _ = gram_for(A)
     e = find_unit(A)
     if e is None:
-        raise AxialError("the algebra has no unit")
+        raise NotUnit("the algebra has no unit")
     result = capacity_decomposition(A, gens, e, g)
     findings.update(capacity=result.capacity,
                     summands=[_coords(s) for s in result.summands],
@@ -292,7 +299,7 @@ def _verify(af: AlgebraFile, args, findings: dict) -> bool:
     A = af.algebra
     g, _ = gram_for(A)
     axes = list(A.designated_axes)
-    seed = int(os.environ.get("AXIAL_SEED", DEFAULT_SEED))
+    seed = _int(os.environ.get("AXIAL_SEED", DEFAULT_SEED), "AXIAL_SEED")
     rng = random.Random(seed)
     all_pairs = list(itertools.combinations(range(len(axes)), 2))
     if pair_count is None:

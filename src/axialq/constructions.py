@@ -46,10 +46,6 @@ class Permutation:
             raise ValueError("mapping is not a bijection on the points")
 
     @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(range(m))
-
-    @classmethod
     def transposition(cls, m: int, i: int, j: int) -> "Permutation":
         """Swap of the (1-based) points i and j."""
         mapping = list(range(m))
@@ -119,7 +115,6 @@ class MatsuoInput:
 
     degree: int
     involutions: tuple[Permutation, ...]
-    eta: Fraction = HALF
 
     def validate(self) -> None:
         for p in self.involutions:
@@ -345,13 +340,14 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
     """Matsuo algebra on the involution set D, plus its predicted Gram matrix.
 
     The product of distinct c, d is 0 when |cd| = 2 and
-    (eta/2)(c + d - c^d) when |cd| = 3, with c^d = d c d.
+    (c + d - c^d)/4 when |cd| = 3, with c^d = d c d: the Matsuo algebra
+    of Jordan type 1/2, whose form value on such a pair is 1/4.
     """
     inp.validate()
     D = list(inp.involutions)
     dim = len(D)
     pos = {p: k for k, p in enumerate(D)}
-    eta = Fraction(inp.eta)
+    quarter = Fraction(1, 4)
     zero = [Fraction(0)] * dim
     structure = [[list(zero) for _ in range(dim)] for _ in range(dim)]
     gram = [[Fraction(0)] * dim for _ in range(dim)]
@@ -369,10 +365,10 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
                 if conj not in pos:
                     raise ConjugacyClosureError(
                         f"{conj!r} = c^d is not in the involution set")
-                row[i] += eta / 2
-                row[j] += eta / 2
-                row[pos[conj]] -= eta / 2
-                gram[i][j] = gram[j][i] = eta / 2
+                row[i] += quarter
+                row[j] += quarter
+                row[pos[conj]] -= quarter
+                gram[i][j] = gram[j][i] = quarter
             else:
                 raise BadProductOrder(f"|{c!r} {d!r}| = {order}")
             structure[i][j] = row
@@ -383,11 +379,13 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
     return make_algebra(dim, names, structure, axes), Matrix(gram)
 
 
-def sn_transpositions(n: int, eta: Fraction = HALF) -> MatsuoInput:
+def sn_transpositions(n: int) -> MatsuoInput:
     """All transpositions of S_n in lexicographic order."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     invs = [Permutation.transposition(n, i, j)
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return MatsuoInput(degree=n, involutions=tuple(invs), eta=eta)
+    return MatsuoInput(degree=n, involutions=tuple(invs))
 
 
 def two_gen_algebra(alpha) -> Algebra:

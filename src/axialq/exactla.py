@@ -117,9 +117,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self._e)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self._e for a in r)
-
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self._e)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"

@@ -11,7 +11,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algcore import Algebra, make_algebra
 from .errors import ParseError
@@ -64,11 +64,8 @@ class AlgebraFile:
     generators: Optional[list[tuple[Fraction, ...]]] = None
 
     @classmethod
-    def from_algebra(cls, name: str, algebra: Algebra,
-                     generators: Optional[Sequence[Sequence[Fraction]]] = None
-                     ) -> "AlgebraFile":
-        gens = [tuple(g) for g in generators] if generators is not None else None
-        return cls(name=name, algebra=algebra, generators=gens)
+    def from_algebra(cls, name: str, algebra: Algebra) -> "AlgebraFile":
+        return cls(name=name, algebra=algebra)
 
     def to_dict(self) -> dict:
         A = self.algebra
@@ -144,12 +141,6 @@ class Report:
             "status": self.status,
             "message": self.message,
         }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        d = json.loads(text)
-        return cls(command=d["command"], inputs=d["inputs"], findings=d["findings"],
-                   status=d["status"], message=d["message"])
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -348,7 +348,6 @@ class CapacityResult:
 
     summands: tuple[Element, ...]
     pivot_trace: tuple[tuple[Element, tuple[Element, ...]], ...]
-    residual: Element
 
     @property
     def capacity(self) -> int:
@@ -405,8 +404,7 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
         for t in summands[i + 1:]:
             if not multiply(s, t).is_zero():
                 raise InvariantViolation("summands are not pairwise orthogonal")
-    return CapacityResult(summands=tuple(summands), pivot_trace=tuple(trace),
-                          residual=residual)
+    return CapacityResult(summands=tuple(summands), pivot_trace=tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,19 @@ def direct_sum(A: Algebra, B: Algebra) -> Algebra:
     return make_algebra(n, [f"e{i}" for i in range(n)], table, embed)
 
 
+def fusion_break() -> Algebra:
+    """Basis e, u, w with e e = e, e u = u/2, u u = u and every other product 0.
+
+    The axis e is a primitive semisimple idempotent with u in its
+    1/2-eigenspace, but u u = u breaks the rule A_1/2 A_1/2 in A_0 + A_1.
+    """
+    z, h, one = Fraction(0), HALF, Fraction(1)
+    table = [[[one, z, z], [z, h, z], [z, z, z]],
+             [[z, h, z], [z, one, z], [z, z, z]],
+             [[z, z, z], [z, z, z], [z, z, z]]]
+    return make_algebra(3, ["e", "u", "w"], table, [[one, z, z]])
+
+
 def by_name(name: str) -> AlgInfo:
     for info in registry():
         if info.name == name:

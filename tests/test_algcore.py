@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axialq import (
-    Word,
     ad_matrix,
     eigendecompose,
     find_unit,
@@ -81,12 +80,6 @@ def test_ad_matrix_matches_products():
     m = ad_matrix(x)
     for j in range(A.dim):
         assert m.col(j) == multiply(x, A.basis_element(j)).coords
-
-
-def test_word_letters_and_length():
-    w = Word(((0, 1), 0))
-    assert w.letters == [0, 1, 0]
-    assert len(w) == 3
 
 
 def test_subalgebra_and_ideal_closure():

@@ -32,7 +32,7 @@ from axialq.errors import (
 from axialq.constructions import matsuo, sn_transpositions
 from axialq.exactla import Matrix, rref, solve
 
-from conftest import by_name, direct_sum
+from conftest import by_name, direct_sum, fusion_break
 
 F = Fraction
 HALF = F(1, 2)
@@ -82,6 +82,14 @@ def test_fusion_report_fields():
     assert rep.zero_square and rep.half_square
     assert rep.even_times_half and rep.zero_times_one
     assert rep.all_ok
+
+
+def test_fusion_report_flags_half_square():
+    A = fusion_break()
+    rep = check_fusion(eigendecompose(A.designated_axes[0]))
+    assert not rep.half_square
+    assert rep.zero_square and rep.even_times_half and rep.zero_times_one
+    assert not rep.all_ok
 
 
 def test_miyamoto_is_order_two_automorphism():

@@ -12,12 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from axialq.cli import MAX_WORD_DEPTH, _build_parser, main, parse_word, run_command
 from axialq.errors import ParseError
-from axialq.fileio import (
-    AlgebraFile,
-    Report,
-    format_rational,
-    parse_rational,
-)
+from axialq.fileio import AlgebraFile, format_rational, parse_rational
+
+from conftest import fusion_break
 
 F = Fraction
 
@@ -76,14 +73,6 @@ def test_algebra_file_rejects_bad_shapes_and_rationals():
         AlgebraFile.from_json("not json")
     with pytest.raises(ParseError):
         AlgebraFile.from_json("[1, 2]")
-
-
-def test_report_roundtrip():
-    r = Report(command="analyze", inputs={"file": "x.json"},
-               findings={"dimension": 3}, status="pass", message="")
-    r2 = Report.from_json(r.to_json())
-    assert (r2.command, r2.inputs, r2.findings, r2.status, r2.message) == \
-        (r.command, r.inputs, r.findings, r.status, r.message)
 
 
 # --- word expressions --------------------------------------------------------------
@@ -359,12 +348,40 @@ def test_exit_code_fail_path(tmp_path):
     assert not report.findings["axes"][0]["primitive"]
 
 
-def test_exit_code_error_on_undersized_recursive_unit(tmp_path):
-    # two axes cannot be a basis of the 3-dimensional algebra
+def test_exit_code_fail_on_fusion_break(tmp_path):
+    path = tmp_path / "fusion-break.json"
+    path.write_text(AlgebraFile.from_algebra("fusion-break", fusion_break()).to_json())
+    report, code = run_command(["analyze", str(path)])
+    assert code == 1 and report.status == "fail"
+    axis = report.findings["axes"][0]
+    assert axis["idempotent"] and axis["semisimple"] and axis["primitive"]
+    assert axis["fusion"] is False
+
+
+def _write_b1(tmp_path):
     path = str(tmp_path / "b1.json")
     _, code = run_command(["construct", "twogen", "--alpha", "1", "--out", path])
     assert code == 0
-    report, code = run_command(["unit", path, "--recursive"])
+    return path
+
+
+def test_verify_vacuous_pair(tmp_path):
+    # the two axes of B(1) have form value 1, so the pair identities hold vacuously
+    report, code = run_command(["verify", "identities", _write_b1(tmp_path)])
+    assert code == 0 and report.status == "pass"
+    assert report.findings["pair_results"] == [{"pair": [0, 1], "alpha": "1", "all_ok": True}]
+
+
+@pytest.mark.parametrize("command", ["capacity", "chain"])
+def test_missing_unit_is_not_unit(tmp_path, command):
+    report, code = run_command([command, _write_b1(tmp_path)])
+    assert code == 2 and report.status == "error"
+    assert report.message == "NotUnit: the algebra has no unit"
+
+
+def test_exit_code_error_on_undersized_recursive_unit(tmp_path):
+    # two axes cannot be a basis of the 3-dimensional algebra
+    report, code = run_command(["unit", _write_b1(tmp_path), "--recursive"])
     assert code == 2 and report.status == "error"
     # the error report keeps the findings made before the error
     assert report.findings == {"unit": None}
@@ -375,6 +392,15 @@ def test_construct_error_keeps_name_and_dimension(tmp_path):
     report, code = run_command(["construct", "spin", "--out", out])
     assert code == 2 and report.status == "error"
     assert report.findings == {"name": "spin(1,1)", "dimension": 3}
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("sn", ["1", "0", "-1"])
+def test_construct_matsuo_rejects_degree_below_2(tmp_path, sn):
+    out = str(tmp_path / "s.json")
+    report, code = run_command(["construct", "matsuo", "--sn", sn, "--out", out])
+    assert code == 2 and report.status == "error"
+    assert report.message == "n must be >= 2"
     assert not os.path.exists(out)
 
 
@@ -461,6 +487,22 @@ def test_verify_rejects_negative_counts(tmp_path, option):
     report, code = run_command(["verify", "identities", path, *option])
     assert code == 2 and report.status == "error"
     assert "nonnegative" in report.message
+
+
+@pytest.mark.parametrize("option", ["--pairs", "--triples"])
+def test_verify_names_a_non_integer_count(tmp_path, option):
+    path = _write_s3(tmp_path)
+    report, code = run_command(["verify", "identities", path, option, "2x"])
+    assert code == 2 and report.status == "error"
+    assert report.message == f"{option} must be an integer, got '2x'"
+
+
+def test_verify_names_a_non_integer_seed(tmp_path, monkeypatch):
+    path = _write_s3(tmp_path)
+    monkeypatch.setenv("AXIAL_SEED", "abc")
+    report, code = run_command(["verify", "identities", path])
+    assert code == 2 and report.status == "error"
+    assert report.message == "AXIAL_SEED must be an integer, got 'abc'"
 
 
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
@@ -590,4 +632,5 @@ def test_fuzzed_files_and_argv_keep_exit_contract(fuzz_dir, data):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2), argv
-    Report.from_json(out.getvalue())
+    assert set(json.loads(out.getvalue())) == {"command", "inputs", "findings", "status",
+                                               "message"}

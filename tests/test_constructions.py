@@ -42,7 +42,7 @@ def test_permutation_basics():
     assert t12.inverse() == t12
     assert t12.conjugate_by(t23) == Permutation.transposition(3, 1, 3)
     assert t12.cycle_string() == "(1 2)"
-    assert Permutation.identity(3).cycle_string() == "()"
+    assert Permutation(range(3)).cycle_string() == "()"
     assert (t12 * t12).is_identity()
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])

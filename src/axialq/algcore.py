@@ -197,8 +197,8 @@ def multiply(x: Element, y: Element) -> Element:
 def ad_matrix(x: Element) -> Matrix:
     """Matrix of left multiplication by x: column j is x * basis_j."""
     alg = x.algebra
-    cols = [multiply(x, alg.basis_element(j)).coords for j in range(alg.dim)]
-    return Matrix(cols).transpose()
+    cols = [multiply(x, b).coords for b in alg.basis_elements()]
+    return Matrix(list(zip(*cols)))
 
 
 def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:

@@ -107,10 +107,11 @@ def eigendecompose(e: Element) -> EigDecomposition:
     if spaces is None:
         if not e.is_idempotent():
             raise NotIdempotent(f"{e!r} is not idempotent")
-        ad = ad_matrix(e)
-        ident = Matrix.identity(e.algebra.dim)
-        spaces = known[e.coords] = tuple(kernel_basis(ad - ident.scale(lam))
-                                         for lam in (Fraction(0), HALF, Fraction(1)))
+        ad = ad_matrix(e).entries()
+        spaces = known[e.coords] = tuple(
+            kernel_basis(Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(ad)]))
+            for lam in (Fraction(0), HALF, Fraction(1)))
     return EigDecomposition(e, *spaces)
 
 

@@ -75,10 +75,14 @@ def gram_for(A: Algebra) -> tuple[GramForm, dict]:
     return g_solve, notes
 
 
-def analyze_findings(A: Algebra) -> dict:
-    """The full analysis pipeline on an in-memory algebra."""
-    findings: dict = {"dimension": A.dim, "axis_count": len(A.designated_axes)}
-    axis_reports = []
+def analyze_findings(A: Algebra, findings: dict) -> dict:
+    """The full analysis pipeline on an in-memory algebra.
+
+    Fills findings in place and returns it, so what was found before an
+    error stays in the dict.
+    """
+    findings.update(dimension=A.dim, axis_count=len(A.designated_axes))
+    axis_reports = findings["axes"] = []
     for a in A.designated_axes:
         rep = check_axis(a)
         axis_reports.append({
@@ -88,7 +92,6 @@ def analyze_findings(A: Algebra) -> dict:
             "primitive": rep.primitive,
             "fusion": rep.fusion_ok,
         })
-    findings["axes"] = axis_reports
     g, notes = gram_for(A)
     findings["gram"] = _matrix_strings(g.gram)
     findings["gram_notes"] = notes
@@ -104,7 +107,7 @@ def analyze_findings(A: Algebra) -> dict:
 
 
 def _analyze(af: AlgebraFile, args, findings: dict) -> bool:
-    findings.update(analyze_findings(af.algebra))
+    analyze_findings(af.algebra, findings)
     axis_ok = all(a["idempotent"] and a["semisimple"] and a["primitive"] and a["fusion"]
                   for a in findings["axes"])
     agree = findings["gram_notes"].get("constructions_agree", True)
@@ -158,7 +161,7 @@ def _generators(af: AlgebraFile, spec: Optional[str]) -> list[Element]:
     A = af.algebra
     if spec is not None:
         axes = list(A.designated_axes)
-        indices = [int(i) for i in spec.split(",")]
+        indices = [_int(i, "--generators") for i in spec.split(",")]
         bad = [i for i in indices if not 0 <= i < len(axes)]
         if bad:
             raise ParseError(f"generator indices {bad} out of range: the file has "
@@ -306,14 +309,15 @@ def _verify(af: AlgebraFile, args, findings: dict) -> bool:
         pairs = all_pairs
     else:
         pairs = [rng.choice(all_pairs) for _ in range(pair_count)] if all_pairs else []
-    results = []
+    results, triples = [], []
+    findings.update(seed=seed, pairs_checked=len(pairs), pair_results=results,
+                    triple_results=triples)
     ok = True
     for (i, j) in pairs:
         rep = pair_identity_suite(axes[i], axes[j], g)
         results.append({"pair": [i, j], "alpha": format_rational(rep.alpha),
                         "all_ok": rep.all_ok})
         ok = ok and rep.all_ok
-    triples = []
     if triple_count:
         all_triples = list(itertools.permutations(range(len(axes)), 3))
         for _ in range(triple_count):
@@ -330,8 +334,6 @@ def _verify(af: AlgebraFile, args, findings: dict) -> bool:
                             "rhs": format_rational(res.rhs),
                             "equal": res.equal})
             ok = ok and res.equal
-    findings.update(seed=seed, pairs_checked=len(pairs), pair_results=results,
-                    triple_results=triples)
     return ok
 
 

@@ -292,12 +292,7 @@ def sym_jordan(n: int) -> Algebra:
     dim = len(index)
     structure = _symmetrized_table([as_matrix(k) for k in range(dim)],
                                    lambda m: [m[i, j] for i, j in index])
-    axes = []
-    for i in range(n):
-        coords = [Fraction(0)] * dim
-        coords[i] = Fraction(1)
-        axes.append(coords)
-    return make_algebra(dim, names, structure, axes)
+    return make_algebra(dim, names, structure, Matrix.identity(dim).entries()[:n])
 
 
 def _hn_prime_axes(n: int) -> list[Matrix]:
@@ -331,9 +326,7 @@ def sym_jordan_prime(n: int) -> Algebra:
     structure = _symmetrized_table(_hn_prime_axes(n), coords_of)
     dim = len(structure)
     names = [f"a{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
-    axes = [[Fraction(1) if k == t else Fraction(0) for k in range(dim)]
-            for t in range(dim)]
-    return make_algebra(dim, names, structure, axes)
+    return make_algebra(dim, names, structure, Matrix.identity(dim).entries())
 
 
 def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
@@ -374,9 +367,7 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
             structure[i][j] = row
             structure[j][i] = list(row)
     names = [p.cycle_string() for p in D]
-    axes = [[Fraction(1) if k == t else Fraction(0) for k in range(dim)]
-            for t in range(dim)]
-    return make_algebra(dim, names, structure, axes), Matrix(gram)
+    return make_algebra(dim, names, structure, Matrix.identity(dim).entries()), Matrix(gram)
 
 
 def sn_transpositions(n: int) -> MatsuoInput:

@@ -93,12 +93,6 @@ class Matrix:
         return Matrix([[a + b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self._e, other._e)])
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._e, other._e)])
-
     def scale(self, c) -> "Matrix":
         c = _frac(c)
         return Matrix([[c * a for a in r] for r in self._e])
@@ -209,10 +203,6 @@ class SubspaceBasis:
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
         return cls(ambient_dim, [])
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(ambient_dim, Matrix.identity(ambient_dim).entries())
 
     @property
     def dim(self) -> int:

@@ -200,34 +200,38 @@ def triple_form_identity(a: Element, b: Element, c: Element,
     """
     if a == b or a == c or b == c:
         raise SameAxis("triple identity needs pairwise distinct axes")
+    # x_of raises FormValueOne when (a, b) or (a, c) is 1, before the division
+    lhs = g.value(x_of(a, b, g), x_of(a, c, g))
     alpha = g.value(a, b)
     gamma = g.value(a, c)
     beta = g.value(b, c)
-    if alpha == 1 or gamma == 1:
-        raise FormValueOne("(a,b) or (a,c) equals 1")
     denom = -alpha * gamma + alpha + gamma - 1  # = -(alpha - 1)(gamma - 1), nonzero here
     phi = g.value(multiply(a, b), c)
-    lhs = g.value(x_of(a, b, g), x_of(a, c, g))
     rhs = (-alpha * gamma - beta + 2 * phi) / denom
     return TripleFormResult(lhs=lhs, rhs=rhs)
 
 
-def a0_axis_basis(a: Element, X: Sequence[Element], g: GramForm) -> list[Element]:
-    """The spanning set {x_a(y) : y in X, y != a} of A_0(a), deduplicated."""
-    v0 = primitive_decomposition(a).v0
+def _projections(a: Element, ys: Sequence[Element], g: GramForm) -> list[Element]:
+    """The distinct nonzero x_a(y) for y != a in ys, in order."""
     out: list[Element] = []
-    for y in X:
+    for y in ys:
         if y == a:
             continue
         alpha = g.value(a, y)
         if alpha == 1:
             raise FormValueOne(f"(a, y) = 1 for y = {y!r}")
         x = _x_raw(a, y, alpha)
-        if x.is_zero() or x in out:
-            continue
-        if not x.is_idempotent() or g.value(x, x) != 1:
-            raise InvariantViolation("projected element is not a normalized idempotent")
-        out.append(x)
+        if not x.is_zero() and x not in out:
+            out.append(x)
+    return out
+
+
+def a0_axis_basis(a: Element, X: Sequence[Element], g: GramForm) -> list[Element]:
+    """The spanning set {x_a(y) : y in X, y != a} of A_0(a), deduplicated."""
+    v0 = primitive_decomposition(a).v0
+    out = _projections(a, X, g)
+    if any(not x.is_idempotent() or g.value(x, x) != 1 for x in out):
+        raise InvariantViolation("projected element is not a normalized idempotent")
     span = SubspaceBasis(a.algebra.dim, [x.coords for x in out])
     if span != v0:
         raise InvariantViolation("span of the projected axes != A_0(a)")
@@ -262,10 +266,8 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
         if q1 == q2:
             # q1 q2 = q1, so the product rescales the same axis
             return q1, s1 * s2, cross, ev
-        alpha = g.value(q1, q2)
-        if alpha == 1:
-            raise FormValueOne("(q1, q2) = 1 during word reduction")
         axis = x_of(q1, q2, g)
+        alpha = g.value(q1, q2)
         scale = 2 * s1 * s2 / (alpha - 1)
         corr = cross - (alpha * q1 + q2) / (2 * s1 * s2)
         return axis, scale, corr, ev
@@ -362,7 +364,7 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
     At every step the first remaining axis becomes a pivot; the others are
     replaced by their x-projections into its 0-eigenspace, deduplicated.
     """
-    if find_unit(A) != e:
+    if e.algebra is not A or any(multiply(e, b) != b for b in A.basis_elements()):
         raise NotUnit("the given element does not act as the unit")
     for gen in G:
         try:
@@ -380,14 +382,7 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
         pivot = level[0]
         summands.append(pivot)
         residual = residual - pivot
-        projected: list[Element] = []
-        for q in level[1:]:
-            alpha = g.value(pivot, q)
-            if alpha == 1:
-                raise FormValueOne("(pivot, q) = 1 during the capacity run")
-            x = _x_raw(pivot, q, alpha)
-            if not x.is_zero() and x not in projected:
-                projected.append(x)
+        projected = _projections(pivot, level, g)
         trace.append((pivot, tuple(projected)))
         level = projected
     if not residual.is_zero():
@@ -431,7 +426,7 @@ def special_chain(A: Algebra, G: Sequence[Element], g: GramForm) -> SpecialChain
         raise NotUnit("the algebra has no unit")
     result = capacity_decomposition(A, G, e, g)
     links: list[ChainLink] = []
-    current = SubspaceBasis.full(A.dim)
+    current = SubspaceBasis(A.dim, Matrix.identity(A.dim).entries())
     for pivot in result.summands:
         links.append(ChainLink(subspace=current, special_axis=pivot))
         current = current.intersection(eigendecompose(pivot).v0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axialq import (
+    AxisReport,
     GramForm,
     check_axis,
     check_fusion,
@@ -74,6 +75,11 @@ def test_check_axis_flags_non_primitive():
     info = by_name("matsuo_s3")
     rep = check_axis(info.unit)  # idempotent but 1-eigenspace is everything
     assert rep.is_idempotent and rep.semisimple and not rep.primitive
+
+
+def test_check_axis_on_non_idempotent():
+    rep = check_axis(2 * by_name("matsuo_s3").A.designated_axes[0])
+    assert rep == AxisReport(False, False, False, False, False, None)
 
 
 def test_fusion_report_fields():
@@ -470,7 +476,7 @@ def test_invariance_checked_once_per_analysis(monkeypatch):
     not_spanning = spin_factor([1, 1])  # 2 axes in dimension 3
     for A in (spanning, not_spanning):
         calls.clear()
-        assert analyze_findings(A)["gram_invariant"]
+        assert analyze_findings(A, {})["gram_invariant"]
         assert calls == [A]
 
 
@@ -486,7 +492,7 @@ def test_fusion_checked_only_where_read(monkeypatch):
         return original(dec)
 
     monkeypatch.setattr(axial, "check_fusion", counting)
-    findings = analyze_findings(A)
+    findings = analyze_findings(A, {})
     assert all(a["fusion"] for a in findings["axes"])
     assert calls == list(A.designated_axes)  # one per designated axis
     calls.clear()
@@ -531,7 +537,7 @@ def test_each_axis_decomposed_once(monkeypatch):
         return original(x)
 
     monkeypatch.setattr(axial, "ad_matrix", counting)
-    analyze_findings(A)
+    analyze_findings(A, {})
     axes = list(A.designated_axes)
     g, _ = frobenius_solve(A, axes)
     e = find_unit(A)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,15 @@ def test_algebra_file_rejects_bad_shapes_and_rationals():
         AlgebraFile.from_json("not json")
     with pytest.raises(ParseError):
         AlgebraFile.from_json("[1, 2]")
+
+
+def test_algebra_file_writes_generators_back():
+    from axialq.constructions import matsuo, sn_transpositions
+    d = AlgebraFile.from_algebra("s3", matsuo(sn_transpositions(3))[0]).to_dict()
+    d["generators"] = d["axes"][:2]
+    text = AlgebraFile.from_dict(d).to_json()
+    assert json.loads(text) == d
+    assert AlgebraFile.from_json(text).to_json() == text
 
 
 # --- word expressions --------------------------------------------------------------
@@ -268,6 +278,13 @@ def test_capacity_generator_subset(tmp_path):
     assert code == 0 and report.findings["capacity"] == 2
 
 
+@pytest.mark.parametrize("spec, bad", [("x", "x"), ("0,,1", "")])
+def test_capacity_names_a_non_integer_generator(tmp_path, spec, bad):
+    report, code = run_command(["capacity", _write_s3(tmp_path), "--generators", spec])
+    assert code == 2 and report.status == "error"
+    assert report.message == f"--generators must be an integer, got {bad!r}"
+
+
 def test_verify_identities(tmp_path):
     path = _write_s3(tmp_path)
     report, code = run_command(["verify", "identities", path,
@@ -278,6 +295,19 @@ def test_verify_identities(tmp_path):
     for t in report.findings["triple_results"]:
         assert t.get("equal", True)
     assert report.findings["seed"] == 20240901
+
+
+def test_verify_skips_triples_of_a_repeated_axis(tmp_path):
+    d = json.loads(Path(_write_s3(tmp_path)).read_text())
+    d["axes"] = [d["axes"][0], d["axes"][0], d["axes"][1]]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(d))
+    report, code = run_command(["verify", "identities", str(path), "--triples", "2"])
+    assert code == 0 and report.status == "pass"
+    triples = report.findings["triple_results"]
+    assert len(triples) == 2
+    assert all(t["skipped"] == "triple identity needs pairwise distinct axes"
+               for t in triples)
 
 
 def test_verify_seed_env(tmp_path, monkeypatch):
@@ -330,22 +360,38 @@ def test_exit_code_error_on_directory_and_generator_index(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "error"
 
 
-def test_exit_code_fail_path(tmp_path):
-    # Q x Q with the non-primitive idempotent p + q designated as an axis:
-    # analyze completes but flags the axis, so the status is fail (exit 1)
+def _write_pair(tmp_path, axes):
+    """Q x Q (p p = p, q q = q, p q = 0) with the given axes."""
     d = {
         "name": "pair",
         "dimension": 2,
         "basis": ["p", "q"],
         "table": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
-        "axes": [["1", "1"]],
+        "axes": axes,
     }
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(d))
-    report, code = run_command(["analyze", str(path)])
+    return str(path)
+
+
+def test_exit_code_fail_path(tmp_path):
+    # Q x Q with the non-primitive idempotent p + q designated as an axis:
+    # analyze completes but flags the axis, so the status is fail (exit 1)
+    report, code = run_command(["analyze", _write_pair(tmp_path, [["1", "1"]])])
     assert code == 1 and report.status == "fail"
     assert report.findings["axes"][0]["idempotent"]
     assert not report.findings["axes"][0]["primitive"]
+
+
+def test_analyze_error_keeps_findings(tmp_path):
+    # with axes p + q and p the axes span, so after the axis reports the
+    # projection form rejects the non-primitive axis p + q
+    report, code = run_command(["analyze", _write_pair(tmp_path, [["1", "1"], ["1", "0"]])])
+    assert code == 2 and report.status == "error"
+    assert report.message == "NotPrimitiveAxis: 1*p + 1*q is not a primitive axis"
+    f = report.findings
+    assert f["dimension"] == 2 and f["axis_count"] == 2
+    assert f["axes"][0]["primitive"] is False and f["axes"][1]["primitive"] is True
 
 
 def test_exit_code_fail_on_fusion_break(tmp_path):
@@ -377,6 +423,12 @@ def test_missing_unit_is_not_unit(tmp_path, command):
     report, code = run_command([command, _write_b1(tmp_path)])
     assert code == 2 and report.status == "error"
     assert report.message == "NotUnit: the algebra has no unit"
+
+
+def test_unit_without_recursion_reports_a_missing_unit(tmp_path):
+    report, code = run_command(["unit", _write_b1(tmp_path)])
+    assert code == 0 and report.status == "pass"
+    assert report.findings == {"unit": None}
 
 
 def test_exit_code_error_on_undersized_recursive_unit(tmp_path):

@@ -11,6 +11,7 @@ from axialq import (
     build_unit,
     capacity_decomposition,
     eigendecompose,
+    find_unit,
     multiply,
     pair_decompose,
     pair_identity_suite,
@@ -19,6 +20,7 @@ from axialq import (
     word_to_axis,
     x_of,
 )
+from axialq.constructions import matsuo, sn_transpositions
 from axialq.errors import FormValueOne, NotSpanning, NotUnit, SameAxis
 from axialq.jordanhalf import orthogonality_propagation_check
 
@@ -164,6 +166,9 @@ def test_word_to_axis_single_letter_and_pair():
     b = A.element([HALF, F(0), HALF])
     axis, scale, corr = word_to_axis(A, [a, b], Word(0), info.g)
     assert (axis, scale) == (a, F(1)) and corr.is_zero()
+    # a*a = a: the same axis, rescaled by nothing
+    axis, scale, corr = word_to_axis(A, [a, b], Word((0, 0)), info.g)
+    assert (axis, scale) == (a, F(1)) and corr.is_zero()
     axis2, scale2, corr2 = word_to_axis(A, [a, b], Word((0, 1)), info.g)
     assert axis2 == x_of(a, b, info.g)
     # alpha = 1/2 so the length-2 scale is 2/(alpha - 1) = -4
@@ -264,9 +269,12 @@ def test_capacity_matrix_jordan():
 
 def test_capacity_rejects_non_unit():
     info = by_name("matsuo_s3")
-    with pytest.raises(NotUnit):
-        capacity_decomposition(info.A, list(info.A.designated_axes),
-                               info.A.designated_axes[0], info.g)
+    # the unit of a second copy of the algebra has the right coordinates
+    twin_unit = find_unit(matsuo(sn_transpositions(3))[0])
+    assert twin_unit.coords == info.unit.coords
+    for e in (info.A.designated_axes[0], twin_unit):
+        with pytest.raises(NotUnit):
+            capacity_decomposition(info.A, list(info.A.designated_axes), e, info.g)
 
 
 def test_capacity_rejects_non_generating():

@@ -148,9 +148,10 @@ def check_axis(e: Element) -> AxisReport:
 
 def _products_within(A: Algebra, left: SubspaceBasis, right: SubspaceBasis,
                      target: SubspaceBasis) -> bool:
-    for u in left.vectors:
+    # the product commutes (make_algebra checks it): a square needs w from u on
+    for i, u in enumerate(left.vectors):
         eu = Element(A, u)
-        for w in right.vectors:
+        for w in right.vectors[i:] if left is right else right.vectors:
             p = multiply(eu, Element(A, w))
             if not target.contains(p.coords):
                 return False

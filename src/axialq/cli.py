@@ -58,21 +58,24 @@ def _matrix_strings(m: Matrix) -> list[list[str]]:
 def gram_for(A: Algebra) -> tuple[GramForm, dict]:
     """Frobenius form of A from its designated axes, with provenance notes.
 
-    Uses the projection construction when the axes span, and the linear
-    solve otherwise; when both apply their agreement is recorded.  The
-    projection has checked the form's invariance before it returns.
+    Axes that do not span A leave the form to the linear solve.  Spanning
+    axes fix it: for a primitive axis a and an invariant h with h(a, a) = 1,
+    h(a, y0) = h(a, a y0) = 0 and h(a, y1/2) = h(a, a y1/2) = h(a, y1/2)/2,
+    so h(a, y) = phi_a(y), the coefficient of a in y, and the projection form
+    is the unique solution.  If it fails the solve runs first: Inconsistent wins.
     """
     axes = list(A.designated_axes)
     if not axes:
         raise AxialError("the algebra has no designated axes")
-    spanning = rref(Matrix([a.coords for a in axes])).rank == A.dim
-    g_solve, free_dim = frobenius_solve(A, axes)
-    notes = {"solve_free_dim": free_dim, "axes_span": spanning}
-    if spanning:
-        g_proj = frobenius_projection(A, axes)
-        notes["constructions_agree"] = g_proj.gram == g_solve.gram
-        return g_proj, notes
-    return g_solve, notes
+    if rref(Matrix([a.coords for a in axes])).rank != A.dim:
+        g, free_dim = frobenius_solve(A, axes)
+        return g, {"solve_free_dim": free_dim, "axes_span": False}
+    try:
+        g = frobenius_projection(A, axes)
+    except AxialError:
+        frobenius_solve(A, axes)
+        raise
+    return g, {"solve_free_dim": 0, "axes_span": True, "constructions_agree": True}
 
 
 def analyze_findings(A: Algebra, findings: dict) -> dict:
@@ -110,10 +113,8 @@ def _analyze(af: AlgebraFile, args, findings: dict) -> bool:
     analyze_findings(af.algebra, findings)
     axis_ok = all(a["idempotent"] and a["semisimple"] and a["primitive"] and a["fusion"]
                   for a in findings["axes"])
-    agree = findings["gram_notes"].get("constructions_agree", True)
     norms_ok = all(v == "1" for v in findings["axis_norms"])
-    return axis_ok and agree and findings["gram_invariant"] and norms_ok \
-        and findings["jordan"]
+    return axis_ok and findings["gram_invariant"] and norms_ok and findings["jordan"]
 
 
 def _construct(_, args, findings: dict) -> bool:
@@ -251,7 +252,7 @@ def _frobenius(af: AlgebraFile, args, findings: dict) -> bool:
     g, notes = gram_for(af.algebra)
     invariant = notes["axes_span"] or g.is_invariant()
     findings.update(gram=_matrix_strings(g.gram), notes=notes, invariant=invariant)
-    return invariant and notes.get("constructions_agree", True)
+    return invariant
 
 
 def _radical(af: AlgebraFile, args, findings: dict) -> bool:
@@ -291,8 +292,7 @@ def _unit(af: AlgebraFile, args, findings: dict) -> bool:
         return True
     g, _ = gram_for(A)
     built = build_unit(A, list(A.designated_axes), g)
-    findings["recursive_unit"] = _coords(built)
-    findings["agree"] = built == e
+    findings.update(recursive_unit=_coords(built), agree=built == e)
     return built == e
 
 

@@ -324,8 +324,8 @@ def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Elemen
     """Unit of A by recursive descent through 0-eigenspaces.
 
     X must be a quasi-definite basis of primitive axes and A must be
-    semisimple; both are checked.  The result is cross-checked against the
-    direct linear-system unit.
+    semisimple; both are checked.  The result is checked to act as the unit
+    on every basis element; a unit is unique, so it is the solved unit.
     """
     if len(X) != A.dim:
         raise NotSpanning("axis list does not have basis size")
@@ -338,9 +338,8 @@ def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Elemen
     if not radical(A, g).is_zero():
         raise NotSemisimple("the algebra has a nonzero radical")
     e = _unit_recursion(A, X, g)
-    direct = find_unit(A)
-    if direct is None or direct != e:
-        raise InvariantViolation("recursive unit disagrees with the solved unit")
+    if any(multiply(e, b) != b for b in A.basis_elements()):
+        raise InvariantViolation("recursive unit does not act as the unit")
     return e
 
 

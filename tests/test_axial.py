@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from axialq import (
     AxisReport,
+    FusionReport,
     GramForm,
     check_axis,
     check_fusion,
@@ -31,7 +32,7 @@ from axialq.errors import (
     NotSpanning,
 )
 from axialq.constructions import matsuo, sn_transpositions
-from axialq.exactla import Matrix, rref, solve
+from axialq.exactla import Matrix, SubspaceBasis, rref, solve
 
 from conftest import by_name, direct_sum, fusion_break
 
@@ -96,6 +97,55 @@ def test_fusion_report_flags_half_square():
     assert not rep.half_square
     assert rep.zero_square and rep.even_times_half and rep.zero_times_one
     assert not rep.all_ok
+
+
+def _off_diagonal_break():
+    """Basis e, u, w with e e = e, u w = w u = e and every other product 0.
+
+    The axis e is primitive and semisimple with A_0 = <u, w>; only the
+    product u w, of two distinct basis vectors of A_0, leaves A_0.
+    """
+    z, one = F(0), F(1)
+    table = [[[one, z, z], [z, z, z], [z, z, z]],
+             [[z, z, z], [z, z, z], [one, z, z]],
+             [[z, z, z], [one, z, z], [z, z, z]]]
+    return make_algebra(3, ["e", "u", "w"], table, [[one, z, z]])
+
+
+def test_fusion_report_flags_off_diagonal_zero_square():
+    dec = eigendecompose(_off_diagonal_break().designated_axes[0])
+    assert dec.v0.dim == 2 and dec.v1.dim == 1
+    rep = check_fusion(dec)
+    assert not rep.zero_square
+    assert rep.half_square and rep.even_times_half and rep.zero_times_one
+
+
+def _reference_fusion(dec):
+    """The four fusion rules by products over every ordered pair."""
+    A = dec.axis.algebra
+
+    def within(left, right, target):
+        return all(target.contains(multiply(A.element(u), A.element(w)).coords)
+                   for u in left.vectors for w in right.vectors)
+
+    even = dec.v0.sum_with(dec.v1)
+    return FusionReport(within(dec.v0, dec.v0, dec.v0),
+                        within(dec.v_half, dec.v_half, even),
+                        within(even, dec.v_half, dec.v_half),
+                        within(dec.v0, dec.v1, SubspaceBasis.zero(A.dim)))
+
+
+def test_check_fusion_matches_ordered_pair_reference(algebras):
+    axes = [a for info in algebras
+            for a in dict.fromkeys(info.A.designated_axes + (info.spanning_axes or ()))]
+    axes += [*fusion_break().designated_axes, *_off_diagonal_break().designated_axes]
+    checked = 0
+    for a in axes:
+        dec = eigendecompose(a)
+        if dec.semisimple:
+            assert check_fusion(dec) == _reference_fusion(dec), a
+            checked += 1
+    assert checked > 50
 
 
 def test_miyamoto_is_order_two_automorphism():

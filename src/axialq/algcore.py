@@ -34,8 +34,8 @@ __all__ = [
 class Algebra:
     """Finite-dimensional commutative algebra over Q."""
 
-    __slots__ = ("dim", "basis_names", "structure", "terms", "_scaled", "designated_axes",
-                 "__weakref__")
+    __slots__ = ("dim", "basis_names", "structure", "terms", "_scaled", "decompositions",
+                 "designated_axes")
 
     def __init__(self, dim: int, basis_names: Sequence[str], structure):
         self.dim = dim
@@ -46,6 +46,8 @@ class Algebra:
         self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
                            for plane in self.structure)
         self._scaled = None
+        # axis coordinates -> Peirce decomposition, built by axial.eigendecompose
+        self.decompositions = {}
         self.designated_axes: tuple[Element, ...] = ()
 
     def scaled_terms(self) -> tuple:
@@ -303,43 +305,43 @@ def jordan_identity_check(A: Algebra) -> bool:
 
     The plain Jordan identity is cubic in x, so it cannot be tested on a
     basis alone; over an infinite field it holds iff its multilinear form
+    vanishes on all basis tuples.  With L_x the multiplication by x,
+    ((e_p e_q) y) e_r - (e_p e_q)(y e_r) = [L_r, L_pq] y, and by bilinearity
+    L_pq = sum_m c[p][q][m] L_m; so the identity holds iff
 
-        sum over pairings {i,j} of (x_i x_j) :
-            ((x_i x_j) y) x_k  =  (x_i x_j)(y x_k)
+        sum over (p, q, r) in ((i, j, k), (i, k, j), (j, k, i)) of
+            sum_m c[p][q][m] [L_r, L_m]  =  0
 
-    vanishes on all basis tuples (commutativity collapses the six
-    permutations of x_1, x_2, x_3 to three pairings).
+    for every i <= j <= k (McCrimmon, A Taste of Jordan Algebras, II.1).
+    Commutativity collapses the six permutations of a triple to these three
+    pairings; when i = j the pairing (i, k, i) counts twice.  The
+    commutators are built once from ``scaled_terms()``; every term scales
+    by d**3, which keeps zero-ness.
     """
     n = A.dim
-    # each term is a triple product of scaled constants: both sides scale by d**3
     table = A.scaled_terms()
-
-    def times_basis(x: list[int], b: int) -> list[int]:
-        out = [0] * n
-        for a, xa in enumerate(x):
-            if xa:
-                for k, c in table[a][b]:
-                    out[k] += xa * c
-        return out
-
-    # pqy[p][q][y] = (e_p e_q) e_y, scaled by d**2, for p <= q
-    pqy = [[None] * n for _ in range(n)]
-    for p, q in itertools.combinations_with_replacement(range(n), 2):
-        pq = [0] * n
-        for k, c in table[p][q]:
-            pq[k] = c
-        pqy[p][q] = [times_basis(pq, y) for y in range(n)]
-    for (i, j, k) in itertools.combinations_with_replacement(range(n), 3):
-        pairings = ((i, j, k), (i, k, j), (j, k, i))
+    # comm[r, m], r < m: the nonzero (y * n + t, coordinate t of [L_r, L_m] e_y),
+    # scaled by d**2; [L_m, L_r] = -[L_r, L_m]
+    comm = {}
+    for r, m in itertools.combinations(range(n), 2):
+        left, right, acc = table[r], table[m], {}
         for y in range(n):
-            acc = [0] * n
-            for (p, q, r) in pairings:
-                # ((e_p e_q) e_y) e_r - (e_p e_q)(e_y e_r), scaled by d**3
-                for t, c in enumerate(times_basis(pqy[p][q][y], r)):
-                    acc[t] += c
-                for b, c in table[y][r]:
-                    for t, v in enumerate(pqy[p][q][b]):
-                        acc[t] -= c * v
-            if any(acc):
-                return False
+            col = y * n
+            for k, c in right[y]:
+                for t, v in left[k]:
+                    acc[col + t] = acc.get(col + t, 0) + c * v
+            for k, c in left[y]:
+                for t, v in right[k]:
+                    acc[col + t] = acc.get(col + t, 0) - c * v
+        comm[r, m] = [(yt, v) for yt, v in acc.items() if v]
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        acc = {}
+        for p, q, r in ((i, j, k), (i, k, j), (j, k, i)):
+            for m, c in table[p][q]:
+                if m != r:
+                    entries, c = (comm[r, m], c) if r < m else (comm[m, r], -c)
+                    for yt, v in entries:
+                        acc[yt] = acc.get(yt, 0) + c * v
+        if any(acc.values()):
+            return False
     return True

@@ -13,7 +13,6 @@ the eigenspaces.  None needs further elimination.  ``frobenius_solve`` and
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -52,7 +51,7 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigDecomposition:
     """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis
     in integers, s the lcm of its denominators: ad[i] lists the nonzero (j, M[i][j])."""
@@ -69,7 +68,7 @@ class EigDecomposition:
         return self.v0.dim + self.v_half.dim + self.v1.dim == self.axis.algebra.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxisReport:
     is_idempotent: bool
     spectrum_ok: bool
@@ -83,7 +82,7 @@ class AxisReport:
         return self.is_idempotent and self.semisimple and self.primitive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusionReport:
     """One boolean per fusion rule of a Jordan-type 1/2 axis."""
 
@@ -98,18 +97,14 @@ class FusionReport:
                 and self.even_times_half and self.zero_times_one)
 
 
-# algebra -> {axis coordinates: (v0, v_half, v1, s, ad)}; no entry refers to its algebra
-_EIGENSPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def eigendecompose(e: Element) -> EigDecomposition:
     """Exact kernels of (ad_e - lambda I) for lambda in {0, 1/2, 1}.
 
-    Built once per idempotent and kept for the lifetime of its algebra.
+    Built once per idempotent and kept in ``Algebra.decompositions`` for the
+    lifetime of its algebra.
     """
-    known = _EIGENSPACES.setdefault(e.algebra, {})
-    entry = known.get(e.coords)
-    if entry is None:
+    dec = e.algebra.decompositions.get(e.coords)
+    if dec is None:
         if not e.is_idempotent():
             raise NotIdempotent(f"{e!r} is not idempotent")
         ad = ad_matrix(e).entries()
@@ -119,8 +114,8 @@ def eigendecompose(e: Element) -> EigDecomposition:
         s = lcm(*(x.denominator for row in ad for x in row))
         sparse = tuple(tuple((j, x.numerator * (s // x.denominator)) for j, x in enumerate(row)
                              if x) for row in ad)
-        entry = known[e.coords] = (*spaces, s, sparse)
-    return EigDecomposition(e, *entry)
+        dec = e.algebra.decompositions[e.coords] = EigDecomposition(e, *spaces, s, sparse)
+    return dec
 
 
 def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> list[int]:

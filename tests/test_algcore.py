@@ -1,10 +1,12 @@
 """Algebra core: construction, products, closures, units, restriction."""
 
 import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axialq import (
     ad_matrix,
@@ -17,11 +19,12 @@ from axialq import (
     restrict_to_subspace,
     subalgebra_closure,
 )
+from axialq.constructions import spin_factor
 from axialq.errors import AlgebraMismatch, CommutativityViolation, NotIdempotent
 from axialq.exactla import SubspaceBasis
 from axialq.fileio import AlgebraFile
 
-from conftest import by_name, direct_sum, random_element, registry
+from conftest import by_name, direct_sum, fusion_break, random_element, registry
 
 F = Fraction
 
@@ -210,3 +213,106 @@ def test_terms_list_the_nonzero_structure_constants():
     for X in (_pair_algebra(), A, sub, loaded):
         _assert_terms_are_nonzero_structure(X)
     assert loaded.terms == A.terms
+
+
+def _jordan_oracle(A) -> bool:
+    """The linearized Jordan identity as triple products of basis elements: for each
+    basis triple i <= j <= k and each e_y, the sum over the three pairings (p, q, r)
+    of ((e_p e_q) e_y) e_r - (e_p e_q)(e_y e_r), on integer vectors scaled by d**3."""
+    n = A.dim
+    table = A.scaled_terms()
+
+    def times_basis(x, b):
+        out = [0] * n
+        for a, xa in enumerate(x):
+            if xa:
+                for k, c in table[a][b]:
+                    out[k] += xa * c
+        return out
+
+    # pqy[p][q][y] = (e_p e_q) e_y, scaled by d**2, for p <= q
+    pqy = [[None] * n for _ in range(n)]
+    for p, q in itertools.combinations_with_replacement(range(n), 2):
+        pq = [0] * n
+        for k, c in table[p][q]:
+            pq[k] = c
+        pqy[p][q] = [times_basis(pq, y) for y in range(n)]
+    for (i, j, k) in itertools.combinations_with_replacement(range(n), 3):
+        for y in range(n):
+            acc = [0] * n
+            for (p, q, r) in ((i, j, k), (i, k, j), (j, k, i)):
+                for t, c in enumerate(times_basis(pqy[p][q][y], r)):
+                    acc[t] += c
+                for b, c in table[y][r]:
+                    for t, v in enumerate(pqy[p][q][b]):
+                        acc[t] -= c * v
+            if any(acc):
+                return False
+    return True
+
+
+def _table_algebra(table):
+    n = len(table)
+    return make_algebra(n, [f"e{i}" for i in range(n)], table)
+
+
+def test_jordan_check_matches_oracle_on_constructions():
+    algebras = [*_product_algebras().values(), fusion_break()]
+    verdicts = [jordan_identity_check(A) for A in algebras]
+    assert verdicts == [_jordan_oracle(A) for A in algebras]
+    assert set(verdicts) == {True, False}
+
+
+@st.composite
+def _commutative_tables(draw):
+    """Commutative structure tables of dimension 1-5 with denominators 1-3."""
+    n = draw(st.integers(1, 5))
+    coeff = st.one_of(st.just(F(0)), st.builds(F, st.integers(-2, 2), st.integers(1, 3)))
+    table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        table[i][j] = table[j][i] = draw(st.lists(coeff, min_size=n, max_size=n))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(_commutative_tables())
+# H_2, the symmetric 2 x 2 matrices (e11, e22, s12): Jordan
+@example([[[F(1), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(1, 2)]],
+          [[F(0), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1, 2)]],
+          [[F(0), F(0), F(1, 2)], [F(0), F(0), F(1, 2)], [F(1), F(1), F(0)]]])
+# x x = y, y y = x: not Jordan
+@example([[[F(0), F(1)], [F(0), F(0)]],
+          [[F(0), F(0)], [F(1), F(0)]]])
+def test_jordan_check_matches_oracle_on_random_tables(table):
+    A = _table_algebra(table)
+    assert jordan_identity_check(A) == _jordan_oracle(A)
+
+
+def test_jordan_check_matches_oracle_on_perturbed_constants():
+    rng = random.Random(13)
+    algebras = [by_name("m3").A, by_name("h4p").A, by_name("matsuo_s4").A,
+                spin_factor([1, 4, 9]), by_name("twogen_14").A]
+    verdicts = []
+    for A in algebras:
+        n = A.dim
+        for _ in range(30):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            table = [[list(row) for row in plane] for plane in A.structure]
+            table[i][j][k] += rng.choice([F(1), F(-1), F(1, 2), F(-2, 3)])
+            table[j][i][k] = table[i][j][k]
+            B = _table_algebra(table)
+            verdicts.append(jordan_identity_check(B))
+            assert verdicts[-1] == _jordan_oracle(B), (A, i, j, k)
+    assert set(verdicts) == {True, False}
+
+
+def test_jordan_check_builds_no_element(monkeypatch):
+    from axialq import algcore
+    algebras = [by_name("matsuo_s4").A, by_name("m3").A]
+
+    def fraction_path(*args):
+        raise AssertionError("a Fraction product in the Jordan check")
+
+    monkeypatch.setattr(algcore, "multiply", fraction_path)
+    monkeypatch.setattr(algcore.Element, "__init__", fraction_path)
+    assert all(jordan_identity_check(A) for A in algebras)

@@ -717,3 +717,4 @@ def test_each_axis_decomposed_once(monkeypatch):
     assert {c for alg, c in built if alg is A} >= {a.coords for a in axes}
     assert any(alg is not A for alg, _ in built)  # the unit recursion's subalgebras
     assert len(built) == len(set(built))
+    assert all(eigendecompose(a) is eigendecompose(a) for a in axes)  # one object per axis

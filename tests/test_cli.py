@@ -449,6 +449,25 @@ def test_exit_code_fail_on_fusion_break(tmp_path):
     assert axis["fusion"] is False
 
 
+def test_exit_code_fail_on_a_non_jordan_algebra(tmp_path):
+    # basis e, x, y with e e = e, x x = y, y y = x: the axis e passes every check
+    # but (x^2 y) x = (y y) x = x x = y differs from x^2 (y x) = 0
+    one, z = "1", "0"
+    d = {"name": "non-jordan", "dimension": 3, "basis": ["e", "x", "y"],
+         "table": [[[one, z, z], [z, z, z], [z, z, z]],
+                   [[z, z, z], [z, z, one], [z, z, z]],
+                   [[z, z, z], [z, z, z], [z, one, z]]],
+         "axes": [[one, z, z]]}
+    path = tmp_path / "non-jordan.json"
+    path.write_text(json.dumps(d))
+    report, code = run_command(["analyze", str(path)])
+    assert code == 1 and report.status == "fail"
+    f = report.findings
+    assert f["jordan"] is False and f["radical_dim"] == 2
+    axis = f["axes"][0]
+    assert axis["idempotent"] and axis["semisimple"] and axis["primitive"] and axis["fusion"]
+
+
 def _write_b1(tmp_path):
     path = str(tmp_path / "b1.json")
     _, code = run_command(["construct", "twogen", "--alpha", "1", "--out", path])

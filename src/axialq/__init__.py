@@ -4,7 +4,6 @@ from .algcore import (
     Algebra,
     Element,
     Word,
-    ad_matrix,
     find_unit,
     ideal_closure,
     jordan_identity_check,

@@ -22,7 +22,6 @@ __all__ = [
     "Word",
     "make_algebra",
     "multiply",
-    "ad_matrix",
     "subalgebra_closure",
     "ideal_closure",
     "find_unit",
@@ -50,14 +49,14 @@ class Algebra:
         self.decompositions = {}
         self.designated_axes: tuple[Element, ...] = ()
 
-    def scaled_terms(self) -> tuple:
-        """``terms`` in integers, times the lcm d of their denominators: T[i][j]
-        lists the nonzero (k, d * c[i][j][k]).  Built on first use."""
+    def scaled_terms(self) -> tuple[int, tuple]:
+        """``terms`` in integers: (d, T), d the lcm of the constants' denominators
+        and T[i][j] the nonzero (k, d * c[i][j][k]).  Built on first use."""
         if self._scaled is None:
             d = lcm(*(c.denominator for plane in self.terms for row in plane for _, c in row))
-            self._scaled = tuple(tuple(tuple((k, c.numerator * (d // c.denominator))
-                                             for k, c in row) for row in plane)
-                                 for plane in self.terms)
+            self._scaled = d, tuple(tuple(tuple((k, c.numerator * (d // c.denominator))
+                                                for k, c in row) for row in plane)
+                                    for plane in self.terms)
         return self._scaled
 
     def element(self, coords) -> "Element":
@@ -192,27 +191,28 @@ def make_algebra(dim: int, names: Sequence[str], structure, axes=()) -> Algebra:
     return alg
 
 
+def _nonzero(v) -> list[tuple[int, object]]:
+    """The nonzero (i, v[i]): the sparse vectors ``_product`` reads."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _product(table, u, w) -> list:
+    """The product of the sparse vectors u and w through a table: ``terms``, or the T of
+    ``scaled_terms()``, which gives d times it."""
+    p = [0] * len(table)
+    for a, ua in u:
+        row = table[a]
+        for b, wb in w:
+            c = ua * wb
+            for k, ck in row[b]:
+                p[k] += c * ck
+    return p
+
+
 def multiply(x: Element, y: Element) -> Element:
     """Bilinear product from the nonzero structure constants."""
     x._same(y)
-    alg = x.algebra
-    out = [Fraction(0)] * alg.dim
-    ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
-    for i, xi in enumerate(x.coords):
-        if xi:
-            row = alg.terms[i]
-            for j, yj in ys:
-                c = xi * yj
-                for k, ck in row[j]:
-                    out[k] += c * ck
-    return Element(alg, out)
-
-
-def ad_matrix(x: Element) -> Matrix:
-    """Matrix of left multiplication by x: column j is x * basis_j."""
-    alg = x.algebra
-    cols = [multiply(x, b).coords for b in alg.basis_elements()]
-    return Matrix(list(zip(*cols)))
+    return Element(x.algebra, _product(x.algebra.terms, _nonzero(x.coords), _nonzero(y.coords)))
 
 
 def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
@@ -319,7 +319,7 @@ def jordan_identity_check(A: Algebra) -> bool:
     by d**3, which keeps zero-ness.
     """
     n = A.dim
-    table = A.scaled_terms()
+    _, table = A.scaled_terms()
     # comm[r, m], r < m: the nonzero (y * n + t, coordinate t of [L_r, L_m] e_y),
     # scaled by d**2; [L_m, L_r] = -[L_r, L_m]
     comm = {}

@@ -4,10 +4,10 @@ Everything is exact; a "check" either returns booleans or raises one of
 the errors in :mod:`axialq.errors` when a precondition is violated.
 ``eigendecompose`` alone builds Peirce data, and each algebra keeps what it
 built, so an axis is decomposed once for the lifetime of its algebra.  The
-Peirce components of an element and the Miyamoto involution are read from
-products with the axis; the spectrum witness, fusion membership and the
-projection coefficients read the integer ad matrix M = s * ad_axis kept with
-the eigenspaces.  None needs further elimination.  ``frobenius_solve`` and
+eigenspaces are the kernels of the integer ad matrix M = s * ad_axis, read
+off ``Algebra.scaled_terms()``; the spectrum witness, fusion membership, Peirce
+components, Miyamoto involution and projection coefficients apply M, with no
+product with the axis and no further elimination.  ``frobenius_solve`` and
 ``GramForm.is_invariant`` read the invariance equations from one function.
 """
 
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Optional, Sequence
 
-from .algcore import Algebra, Element, ad_matrix, ideal_closure, multiply
+from .algcore import Algebra, Element, _nonzero, _product, ideal_closure
 from .errors import (
     Inconsistent,
     InvariantViolation,
@@ -28,7 +28,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, _integer_row, kernel_basis, rref, solve
+from .exactla import Matrix, SubspaceBasis, _integral, kernel_basis, rref, solve
 
 __all__ = [
     "EigDecomposition",
@@ -100,21 +100,29 @@ class FusionReport:
 def eigendecompose(e: Element) -> EigDecomposition:
     """Exact kernels of (ad_e - lambda I) for lambda in {0, 1/2, 1}.
 
-    Built once per idempotent and kept in ``Algebra.decompositions`` for the
-    lifetime of its algebra.
+    With (d, T) = ``scaled_terms()`` and u = q e integral, column j of d q ad_e is u e_j
+    through T; M = s ad_e for s = d q / gcd(d q, its entries), e is idempotent iff
+    M u = s u (u u = d q u), and the kernels are those of M, 2M - s and M - s.  Built
+    once per idempotent and kept in ``Algebra.decompositions`` for the lifetime of its
+    algebra.
     """
-    dec = e.algebra.decompositions.get(e.coords)
+    A = e.algebra
+    dec = A.decompositions.get(e.coords)
     if dec is None:
-        if not e.is_idempotent():
+        (d, table), n = A.scaled_terms(), A.dim
+        q, u = _integral(e.coords)
+        us = _nonzero(u)
+        if _product(table, us, us) != [d * q * x for x in u]:
             raise NotIdempotent(f"{e!r} is not idempotent")
-        ad = ad_matrix(e).entries()
-        spaces = [kernel_basis(Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
-                                       for i, row in enumerate(ad)]))
-                  for lam in (Fraction(0), HALF, Fraction(1))]
-        s = lcm(*(x.denominator for row in ad for x in row))
-        sparse = tuple(tuple((j, x.numerator * (s // x.denominator)) for j, x in enumerate(row)
-                             if x) for row in ad)
-        dec = e.algebra.decompositions[e.coords] = EigDecomposition(e, *spaces, s, sparse)
+        cols = [_product(table, us, ((j, 1),)) for j in range(n)]
+        g = gcd(d * q, *(x for col in cols for x in col))
+        rows = [[col[i] // g for col in cols] for i in range(n)]
+        s = d * q // g
+        spaces = [kernel_basis(Matrix._from_rows(tuple(
+                      tuple(c * x - t * (i == j) for j, x in enumerate(row))
+                      for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
+        ad = tuple(tuple(_nonzero(row)) for row in rows)
+        dec = A.decompositions[e.coords] = EigDecomposition(e, *spaces, s, ad)
     return dec
 
 
@@ -123,10 +131,12 @@ def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> l
     return [c * sum(x * v[j] for j, x in row) - t * vi for row, vi in zip(dec.ad, v)]
 
 
-def _a1_columns(dec: EigDecomposition):
-    """Each column of (2M - s)M = s^2 L(2L - 1), s^2 times the A1-projector if semisimple."""
-    for j in range(len(dec.ad)):
-        yield _apply(dec, _apply(dec, [int(i == j) for i in range(len(dec.ad))]), 2, dec.s)
+def _columns(dec: EigDecomposition, c: int, t: int):
+    """Each column of (cM - t)M.  (2M - s)M = s^2 L(2L - 1), L = ad_axis, is s^2 times
+    the A1-projector if semisimple, and (M - s)M = s^2 L(L - 1)."""
+    n = len(dec.ad)
+    for j in range(n):
+        yield _apply(dec, _apply(dec, [int(i == j) for i in range(n)]), c, t)
 
 
 def primitive_decomposition(a: Element) -> EigDecomposition:
@@ -148,7 +158,7 @@ def check_axis(e: Element) -> AxisReport:
         return AxisReport(False, False, False, False, False, None)
 
     # independent spectrum witness: L (2L - 1) (L - 1) = 0, i.e. (M - s)(2M - s) M = 0
-    spectrum_ok = not any(any(_apply(dec, z, 1, dec.s)) for z in _a1_columns(dec))
+    spectrum_ok = not any(any(_apply(dec, z, 1, dec.s)) for z in _columns(dec, 2, dec.s))
     semisimple = dec.semisimple
     primitive = dec.v1.dim == 1 and not e.is_zero()
     fusion_ok = check_fusion(dec).all_ok if semisimple else False
@@ -164,23 +174,14 @@ def check_fusion(dec: EigDecomposition) -> FusionReport:
     """
     if not dec.semisimple:
         raise NotSemisimple("fusion check needs a semisimple decomposition")
-    n, table = dec.axis.algebra.dim, dec.axis.algebra.scaled_terms()
-    v0, vh, v1 = ([[(i, x) for i, x in enumerate(_integer_row(v)) if x] for v in space.vectors]
+    _, table = dec.axis.algebra.scaled_terms()
+    v0, vh, v1 = ([_nonzero(_integral(v)[1]) for v in space.vectors]
                   for space in (dec.v0, dec.v_half, dec.v1))
 
     def within(left, right, test) -> bool:
         # the product commutes (make_algebra checks it): a square needs w from u on
-        for i, u in enumerate(left):
-            for w in right[i:] if left is right else right:
-                p = [0] * n
-                for a, ua in u:
-                    for b, wb in w:
-                        c = ua * wb
-                        for k, ck in table[a][b]:
-                            p[k] += c * ck
-                if not test(p):
-                    return False
-        return True
+        return all(test(_product(table, u, w)) for i, u in enumerate(left)
+                   for w in (right[i:] if left is right else right))
 
     return FusionReport(
         zero_square=within(v0, v0, lambda p: not any(_apply(dec, p))),
@@ -193,33 +194,33 @@ def check_fusion(dec: EigDecomposition) -> FusionReport:
 def miyamoto(dec: EigDecomposition) -> Matrix:
     """Miyamoto involution: fixes v0 + v1, negates v_half, as a matrix.
 
-    Column j is tau(e_j) = e_j - 2 (e_j)_half = e_j - 8(a e_j - a(a e_j)).
+    Column j is tau(e_j) = e_j - 2 (e_j)_half = e_j + 8L(L - 1) e_j = e_j + 8(M - s)M e_j / s^2.
     """
     if not dec.semisimple:
         raise NotSemisimple("Miyamoto map needs a semisimple decomposition")
-    a = dec.axis
-    cols = []
-    for e in a.algebra.basis_elements():
-        ae = multiply(a, e)
-        cols.append((e - 8 * (ae - multiply(a, ae))).coords)
+    s2 = dec.s * dec.s
+    cols = [[Fraction(s2 * (i == j) + 8 * y, s2) for i, y in enumerate(col)]
+            for j, col in enumerate(_columns(dec, 1, dec.s))]
     return Matrix(list(zip(*cols)))
 
 
 def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Element, Fraction]:
     """Split x = x0 + x_half + alpha * axis for a primitive semisimple axis.
 
-    The spectral projectors of L = ad_axis give alpha * axis = L(2L - 1) x
-    and x_half = 4L(1 - L) x; alpha is read at the pivot of v1.
+    The spectral projectors of L = ad_axis = M/s give alpha * axis = L(2L - 1) x
+    = (2M - s)M x / s^2 and x_half = 4L(1 - L) x = -4(M - s)M x / s^2; alpha is
+    read at the pivot of v1.
     """
     if not dec.semisimple or dec.v1.dim != 1:
         raise NotPrimitiveAxis("decomposition is not that of a primitive axis")
-    a = dec.axis
-    ax = multiply(a, x)
-    aax = multiply(a, ax)
-    x1 = 2 * aax - ax
-    xh = 4 * (ax - aax)
+    dec.axis._same(x)
+    q, v = _integral(x.coords)
+    mv, den = _apply(dec, v), dec.s * dec.s * q
+    x1 = [Fraction(y, den) for y in _apply(dec, mv, 2, dec.s)]
+    xh = [Fraction(-4 * y, den) for y in _apply(dec, mv, 1, dec.s)]
     p = dec.v1.pivots[0]
-    return x - x1 - xh, xh, x1.coords[p] / a.coords[p]
+    return (Element(x.algebra, [c - a - b for c, a, b in zip(x.coords, x1, xh)]),
+            Element(x.algebra, xh), x1[p] / dec.axis.coords[p])
 
 
 def _invariance_equations(A: Algebra) -> tuple[list[list[int]], list[list[tuple[int, Fraction]]]]:
@@ -292,7 +293,7 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     for dec in decs:
         p = dec.v1.pivots[0]
         den = dec.s * dec.s * dec.axis.coords[p]
-        rows.append(dec.axis.coords + tuple(z[p] / den for z in _a1_columns(dec)))
+        rows.append(dec.axis.coords + tuple(z[p] / den for z in _columns(dec, 2, dec.s)))
     res = rref(Matrix(rows))
     if sum(c < n for c in res.pivot_columns) != n:
         raise NotSpanning("the given axes do not span the algebra")

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Scalars cross the API as ``fractions.Fraction``; elimination runs on
-Python ints inside ``rref``.  There is no floating point anywhere in the
-package.  Matrices and subspace bases are immutable after
-construction, so everything here is safe to share between threads.
+Python ints inside ``rref``, which takes int rows as they are.  There is no
+floating point anywhere in the package.  Matrices and subspace bases are
+immutable after construction, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Matrix:
 
     @classmethod
     def _from_rows(cls, rows: tuple[Vector, ...], cols: int) -> "Matrix":
-        """Wrap rows already known to be equal-length tuples of Fractions."""
+        """Wrap rows already known to be equal-length tuples of Fractions or ints."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._e = len(rows), cols, rows
         return m
@@ -125,12 +125,10 @@ class RrefResult:
         self.rank = len(pivot_columns)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row scaled to coprime integers (positive multiple, same span)."""
+def _integral(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, d * row), d the lcm of the row's denominators."""
     d = lcm(*(a.denominator for a in row))
-    ints = [a.numerator * (d // a.denominator) for a in row]
-    g = gcd(*ints)
-    return [a // g for a in ints] if g > 1 else ints
+    return d, [a.numerator * (d // a.denominator) for a in row]
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -142,7 +140,7 @@ def rref(m: Matrix) -> RrefResult:
     divided out afterwards, so entries stay small.  Fractions are built
     only for the final, canonical reduced rows.
     """
-    rows = [_integer_row(r) for r in m.entries()]
+    rows = [_integral(r)[1] for r in m.entries()]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from axialq import (
     AxisReport,
     FusionReport,
     GramForm,
-    ad_matrix,
     check_axis,
     check_fusion,
     eigendecompose,
@@ -32,7 +32,7 @@ from axialq.errors import (
     NotPrimitiveAxis,
     NotSpanning,
 )
-from axialq.constructions import matsuo, sn_transpositions
+from axialq.constructions import matsuo, sn_transpositions, spin_factor
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
 from conftest import by_name, direct_sum, fusion_break
@@ -166,7 +166,7 @@ def _oracle_axis(e):
         dec = eigendecompose(e)
     except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
-    ad = ad_matrix(e).entries()
+    ad = list(zip(*(multiply(e, b).coords for b in e.algebra.basis_elements())))
     assert (dec.v0, dec.v_half, dec.v1) == tuple(
         kernel_basis(Matrix([[x - lam * (i == j) for j, x in enumerate(row)]
                              for i, row in enumerate(ad)])) for lam in (0, HALF, 1))
@@ -191,6 +191,36 @@ def _conftest_axes(algebras):
         axes += [2 * info.A.designated_axes[0]] + ([info.unit] if info.unit else [])
     axes += [*fusion_break().designated_axes, *_off_diagonal_break().designated_axes]
     return list(dict.fromkeys(axes))
+
+
+def _assert_integer_ad(dec):
+    """Column j of M / s is e e_j by `multiply`, and s is the least positive integer
+    that clears the denominators of ad_e."""
+    e, n = dec.axis, dec.axis.algebra.dim
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(dec.ad):
+        for j, x in row:
+            assert type(x) is int and x
+            m[i][j] = x
+    cols = [multiply(e, b).coords for b in e.algebra.basis_elements()]
+    for j, col in enumerate(cols):
+        assert tuple(F(row[j], dec.s) for row in m) == col, (e, j)
+    assert dec.s == math.lcm(*(x.denominator for col in cols for x in col)), e
+
+
+def test_integer_ad_matches_products(algebras):
+    axes = _conftest_axes(algebras) + [a for info in algebras for a in info.qd_basis or ()]
+    axes += spin_factor([1, 4, 9]).designated_axes  # coordinates 1/2, 1/4, 1/6
+    scales = set()
+    for a in dict.fromkeys(axes):
+        if a.is_idempotent():
+            dec = eigendecompose(a)
+            _assert_integer_ad(dec)
+            scales.add(dec.s)
+        else:
+            with pytest.raises(NotIdempotent):
+                eigendecompose(a)
+    assert {1, 2, 4, 8} <= scales
 
 
 def test_check_fusion_matches_ordered_pair_reference(algebras):
@@ -225,21 +255,50 @@ def test_frobenius_projection_matches_peirce_coefficients(algebras):
     assert checked > 250
 
 
+def _product_peirce(a, x):
+    """x0, x_half and alpha from two products with a:
+    alpha a = L(2L - 1)x and x_half = 4L(1 - L)x."""
+    ax = multiply(a, x)
+    aax = multiply(a, ax)
+    x1, xh = 2 * aax - ax, 4 * (ax - aax)
+    p = eigendecompose(a).v1.pivots[0]
+    return x - x1 - xh, xh, x1.coords[p] / a.coords[p]
+
+
+def _product_miyamoto(a):
+    """Column j is e_j - 8(a e_j - a(a e_j))."""
+    cols = []
+    for e in a.algebra.basis_elements():
+        ae = multiply(a, e)
+        cols.append((e - 8 * (ae - multiply(a, ae))).coords)
+    return Matrix(list(zip(*cols)))
+
+
 def test_axis_checks_read_only_the_integer_ad_matrix(monkeypatch):
-    from axialq import algcore, axial
-    A, _ = matsuo(sn_transpositions(4))
-    axes = list(A.designated_axes)
-    decs = [eigendecompose(a) for a in axes]  # ad_matrix and the idempotency test, once
+    from axialq import algcore
+    algebras = [matsuo(sn_transpositions(4))[0], spin_factor([1, 4, 9])]
+    # elements built before Element.__init__ raises
+    xs = [A.basis_elements() + [A.element([F(k % 3 - 1, k + 1) for k in range(A.dim)])]
+          for A in algebras]
+    pairs = [(a, x) for A, ys in zip(algebras, xs) for a in A.designated_axes for x in ys]
 
     def fraction_path(*args):
         raise AssertionError("a Fraction product on the integer path")
 
-    monkeypatch.setattr(axial, "multiply", fraction_path)
-    monkeypatch.setattr(axial, "peirce_components", fraction_path)
-    monkeypatch.setattr(algcore.Element, "__init__", fraction_path)
-    assert all(check_axis(a).is_primitive_axis for a in axes)
-    assert all(check_fusion(dec).all_ok for dec in decs)
-    assert frobenius_projection(A, axes).value(axes[0], axes[0]) == 1
+    with monkeypatch.context() as m:  # from the first decomposition on
+        m.setattr(algcore, "multiply", fraction_path)
+        m.setattr(algcore.Element, "__init__", fraction_path)
+        for A in algebras:
+            assert all(check_axis(a).is_primitive_axis for a in A.designated_axes)
+            assert all(check_fusion(eigendecompose(a)).all_ok for a in A.designated_axes)
+        axes = list(algebras[0].designated_axes)
+        assert frobenius_projection(algebras[0], axes).value(axes[0], axes[0]) == 1
+    components = [_product_peirce(a, x) for a, x in pairs]
+    involutions = [_product_miyamoto(a) for A in algebras for a in A.designated_axes]
+    monkeypatch.setattr(algcore, "multiply", fraction_path)
+    assert [peirce_components(eigendecompose(a), x) for a, x in pairs] == components
+    assert [miyamoto(eigendecompose(a))
+            for A in algebras for a in A.designated_axes] == involutions
 
 
 @st.composite
@@ -264,6 +323,8 @@ def test_axis_checks_match_fraction_oracle_on_random_algebras(A):
     e = A.designated_axes[0]
     report = check_axis(e)
     assert report == _oracle_axis(e)
+    if report.is_idempotent:
+        _assert_integer_ad(report.decomposition)
     if report.semisimple:
         assert check_fusion(report.decomposition) == _oracle_fusion(report.decomposition)
 
@@ -699,14 +760,14 @@ def test_each_axis_decomposed_once(monkeypatch):
     from axialq import axial, build_unit, capacity_decomposition, find_unit, special_chain
     from axialq.cli import analyze_findings
     A, _ = matsuo(sn_transpositions(4))
-    built = []  # (algebra, axis coordinates) per ad_matrix call; keeps each algebra alive
-    original = axial.ad_matrix
+    built = []  # (algebra, axis coordinates) per decomposition built; keeps each algebra alive
+    original = axial.EigDecomposition
 
-    def counting(x):
-        built.append((x.algebra, x.coords))
-        return original(x)
+    def counting(axis, *rest):
+        built.append((axis.algebra, axis.coords))
+        return original(axis, *rest)
 
-    monkeypatch.setattr(axial, "ad_matrix", counting)
+    monkeypatch.setattr(axial, "EigDecomposition", counting)
     analyze_findings(A, {})
     axes = list(A.designated_axes)
     g, _ = frobenius_solve(A, axes)

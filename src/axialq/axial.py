@@ -1,14 +1,15 @@
 """Axis analysis: Peirce decomposition, fusion rules, Frobenius form, radical.
 
-Everything is exact; a "check" either returns booleans or raises one of
-the errors in :mod:`axialq.errors` when a precondition is violated.
-``eigendecompose`` alone builds Peirce data, and each algebra keeps what it
-built, so an axis is decomposed once for the lifetime of its algebra.  The
-eigenspaces are the kernels of the integer ad matrix M = s * ad_axis, read
-off ``Algebra.scaled_terms()``; the spectrum witness, fusion membership, Peirce
-components, Miyamoto involution and projection coefficients apply M, with no
-product with the axis and no further elimination.  ``frobenius_solve`` and
-``GramForm.is_invariant`` read the invariance equations from one function.
+Everything is exact; a "check" either returns booleans or raises one of the errors in
+:mod:`axialq.errors` when a precondition is violated.  ``eigendecompose`` alone builds
+Peirce data, and each algebra keeps what it built, so an axis is decomposed once for the
+lifetime of its algebra.  The eigenspaces are the kernels of the integer ad matrix
+M = s * ad_axis, read off ``Algebra.scaled_terms()`` and kept by columns.  The spectrum
+witness, fusion membership, Peirce components and Miyamoto involution apply M by adding up
+the columns of a vector's nonzero entries, and an axis's projection coefficients are one
+row vector times M: no product with the axis, no further elimination.  ``frobenius_solve``
+and ``GramForm.is_invariant`` read the integer invariance equations from one function;
+``is_invariant`` evaluates them on G scaled once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algcore import Algebra, Element, _nonzero, _product, ideal_closure
 from .errors import (
@@ -53,15 +54,15 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True, slots=True)
 class EigDecomposition:
-    """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis
-    in integers, s the lcm of its denominators: ad[i] lists the nonzero (j, M[i][j])."""
+    """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis in
+    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j])."""
 
     axis: Element
     v0: SubspaceBasis
     v_half: SubspaceBasis
     v1: SubspaceBasis
     s: int = field(repr=False)
-    ad: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    cols: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
     def semisimple(self) -> bool:
@@ -121,20 +122,25 @@ def eigendecompose(e: Element) -> EigDecomposition:
         spaces = [kernel_basis(Matrix._from_rows(tuple(
                       tuple(c * x - t * (i == j) for j, x in enumerate(row))
                       for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
-        ad = tuple(tuple(_nonzero(row)) for row in rows)
-        dec = A.decompositions[e.coords] = EigDecomposition(e, *spaces, s, ad)
+        m = tuple(tuple((i, x // g) for i, x in _nonzero(col)) for col in cols)
+        dec = A.decompositions[e.coords] = EigDecomposition(e, *spaces, s, m)
     return dec
 
 
 def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> list[int]:
-    """(cM - t) v, with M = s * ad_axis."""
-    return [c * sum(x * v[j] for j, x in row) - t * vi for row, vi in zip(dec.ad, v)]
+    """(cM - t) v, with M = s * ad_axis: c v_j times column j of M, for each nonzero v_j."""
+    out = [-t * x for x in v]
+    for x, col in zip(v, dec.cols):
+        if x:
+            for i, y in col:
+                out[i] += c * x * y
+    return out
 
 
 def _columns(dec: EigDecomposition, c: int, t: int):
     """Each column of (cM - t)M.  (2M - s)M = s^2 L(2L - 1), L = ad_axis, is s^2 times
     the A1-projector if semisimple, and (M - s)M = s^2 L(L - 1)."""
-    n = len(dec.ad)
+    n = len(dec.cols)
     for j in range(n):
         yield _apply(dec, _apply(dec, [int(i == j) for i in range(n)]), c, t)
 
@@ -223,23 +229,23 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
             Element(x.algebra, xh), x1[p] / dec.axis.coords[p])
 
 
-def _invariance_equations(A: Algebra) -> tuple[list[list[int]], list[list[tuple[int, Fraction]]]]:
-    """The Gram unknowns and the invariance equations on them.
+def _invariance_equations(A: Algebra) -> tuple[list[list[int]], Iterator[list[tuple[int, int]]]]:
+    """The Gram unknowns and the invariance equations on them, in integers.
 
-    g(p, q) = g(q, p) is unknown number index[p][q], numbered row by row
-    along the upper triangle.  Each equation (e_i e_j, e_k) - (e_i, e_j e_k)
-    = 0, for every j and every i < k, is a list of (unknown, coefficient)
-    pairs, where an unknown may recur.  With a commutative product and a
-    symmetric form, the equation for (k, j, i) is minus that for (i, j, k)
-    and the one for (i, j, i) is 0, so these say all that n^3 triples say.
+    g(p, q) = g(q, p) is unknown number index[p][q], numbered row by row along the
+    upper triangle.  Each equation d((e_i e_j, e_k) - (e_i, e_j e_k)) = 0, d the
+    denominator of ``scaled_terms()``, for every j and every i < k, is yielded as a list
+    of (unknown, integer coefficient) pairs, where an unknown may recur.  With a
+    commutative product and a symmetric form, the equation for (k, j, i) is minus that
+    for (i, j, k) and the one for (i, j, i) is 0, so these say all that n^3 triples say.
     """
-    n = A.dim
+    n, (_, table) = A.dim, A.scaled_terms()
     index = [[0] * n for _ in range(n)]
     for u, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
         index[p][q] = index[q][p] = u
-    return index, [[(index[l][k], c) for l, c in A.terms[i][j]]
-                   + [(index[i][l], -c) for l, c in A.terms[j][k]]
-                   for j in range(n) for i in range(n) for k in range(i + 1, n)]
+    return index, ([(index[l][k], c) for l, c in table[i][j]]
+                   + [(index[i][l], -c) for l, c in table[j][k]]
+                   for j in range(n) for i in range(n) for k in range(i + 1, n))
 
 
 class GramForm:
@@ -260,8 +266,8 @@ class GramForm:
         return sum(a * b for a, b in zip(x.coords, gv))
 
     def is_invariant(self) -> bool:
-        """(xy, z) = (x, yz) on all basis triples: G satisfies every invariance equation."""
-        g = [v for p, row in enumerate(self.gram.entries()) for v in row[p:]]
+        """(xy, z) = (x, yz) on all basis triples, decided in integers on G scaled once."""
+        _, g = _integral([v for p, row in enumerate(self.gram.entries()) for v in row[p:]])
         return all(sum(c * g[u] for u, c in eq) == 0
                    for eq in _invariance_equations(self.algebra)[1])
 
@@ -280,7 +286,8 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     in the Peirce decomposition of y relative to a.  With enough axes to
     span A, the Gram matrix G is the unique solution of P G = F, where P
     stacks the axis coordinate rows; one elimination of [P | F] reads it off.
-    Row a of F is row p of (2M - s)M / (s^2 a_p), p the pivot of v1 = <a>.
+    Row a of F is row p of (2M - s)M / (s^2 a_p), p the pivot of v1 = <a>: the row
+    vector (2 M[p, :] - s e_p) times M, read off the columns of M.
     """
     decs = []
     for a in spanning_axes:
@@ -292,8 +299,10 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     rows = []
     for dec in decs:
         p = dec.v1.pivots[0]
+        r = [2 * sum(x for i, x in col if i == p) for col in dec.cols]
+        r[p] -= dec.s
         den = dec.s * dec.s * dec.axis.coords[p]
-        rows.append(dec.axis.coords + tuple(z[p] / den for z in _columns(dec, 2, dec.s)))
+        rows.append(dec.axis.coords + tuple(sum(r[i] * x for i, x in c) / den for c in dec.cols))
     res = rref(Matrix(rows))
     if sum(c < n for c in res.pivot_columns) != n:
         raise NotSpanning("the given axes do not span the algebra")
@@ -325,11 +334,11 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
     nun = n * (n + 1) // 2
     rows = []
     for eq in invariance:
-        row = [Fraction(0)] * nun
+        row = [0] * nun
         for u, c in eq:
             row[u] += c
         if any(row):
-            rows.append(row)
+            rows.append(tuple(row))
     rhs = [Fraction(0)] * len(rows) + [Fraction(1)] * len(axes)
     for a in axes:
         row = [Fraction(0)] * nun
@@ -337,8 +346,8 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
             for j, aj in enumerate(a.coords):
                 if ai and aj:
                     row[index[i][j]] += ai * aj
-        rows.append(row)
-    x, free_dim = solve(Matrix(rows), rhs)
+        rows.append(tuple(row))
+    x, free_dim = solve(Matrix._from_rows(tuple(rows), nun), rhs)
     if x is None:
         raise Inconsistent("no invariant normalized form exists for these axes")
     return GramForm(A, Matrix([[x[u] for u in row] for row in index])), free_dim

@@ -43,16 +43,21 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def _vector(value, dim: int, what: str) -> list[Fraction]:
+def _vector(value, dim: int, what: str, memo: dict) -> list[Fraction]:
     if not isinstance(value, list) or len(value) != dim:
         raise ParseError(f"each of {what} must be a list of {dim} rationals")
-    return [parse_rational(c) for c in value]
+    out = []
+    for c in value:  # in order, so the first bad entry is the one reported
+        if type(c) is str and c not in memo:
+            memo[c] = parse_rational(c)
+        out.append(memo[c] if type(c) is str else parse_rational(c))
+    return out
 
 
-def _vectors(value, dim: int, what: str) -> list[list[Fraction]]:
+def _vectors(value, dim: int, what: str, memo: dict) -> list[list[Fraction]]:
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list of vectors, got {type(value).__name__}")
-    return [_vector(v, dim, what) for v in value]
+    return [_vector(v, dim, what, memo) for v in value]
 
 
 @dataclass
@@ -101,12 +106,13 @@ class AlgebraFile:
         if not isinstance(table, list) or len(table) != dim \
                 or not all(isinstance(row, list) and len(row) == dim for row in table):
             raise ParseError("table must be a dim x dim grid of dim-vectors")
-        structure = [[_vector(cell, dim, "the table cells") for cell in row] for row in table]
-        axes = _vectors(d.get("axes", []), dim, "axes")
+        memo: dict[str, Fraction] = {}  # each distinct rational string is parsed once per file
+        structure = [[_vector(cell, dim, "the table cells", memo) for cell in row] for row in table]
+        axes = _vectors(d.get("axes", []), dim, "axes", memo)
         algebra = make_algebra(dim, basis, structure, axes)
         gens = None
         if "generators" in d:
-            gens = [tuple(g) for g in _vectors(d["generators"], dim, "generators")]
+            gens = [tuple(g) for g in _vectors(d["generators"], dim, "generators", memo)]
         return cls(name=name, algebra=algebra, generators=gens)
 
     def to_json(self) -> str:

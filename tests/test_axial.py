@@ -32,10 +32,11 @@ from axialq.errors import (
     NotPrimitiveAxis,
     NotSpanning,
 )
+from axialq.axial import _apply
 from axialq.constructions import matsuo, sn_transpositions, spin_factor
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
-from conftest import by_name, direct_sum, fusion_break
+from conftest import by_name, direct_sum, fusion_break, registry
 
 F = Fraction
 HALF = F(1, 2)
@@ -198,8 +199,9 @@ def _assert_integer_ad(dec):
     that clears the denominators of ad_e."""
     e, n = dec.axis, dec.axis.algebra.dim
     m = [[0] * n for _ in range(n)]
-    for i, row in enumerate(dec.ad):
-        for j, x in row:
+    assert len(dec.cols) == n
+    for j, col in enumerate(dec.cols):
+        for i, x in col:
             assert type(x) is int and x
             m[i][j] = x
     cols = [multiply(e, b).coords for b in e.algebra.basis_elements()]
@@ -221,6 +223,43 @@ def test_integer_ad_matches_products(algebras):
             with pytest.raises(NotIdempotent):
                 eigendecompose(a)
     assert {1, 2, 4, 8} <= scales
+
+
+@functools.cache
+def _decompositions():
+    """The decomposition of each idempotent among the conftest axes and the axes of
+    spin(1, 4, 9), whose coordinates 1/2, 1/4 and 1/6 give larger scales s."""
+    axes = _conftest_axes(registry()) + list(spin_factor([1, 4, 9]).designated_axes)
+    return [eigendecompose(a) for a in axes if a.is_idempotent()]
+
+
+@st.composite
+def _int_vectors(draw, n):
+    """The zero vector, a vector with one nonzero entry, or one with no zero entry."""
+    nonzero = st.integers(-9, 9).filter(bool)
+    kind = draw(st.sampled_from(["zero", "single", "dense"]))
+    if kind == "dense":
+        return draw(st.lists(nonzero, min_size=n, max_size=n))
+    v = [0] * n
+    if kind == "single":
+        v[draw(st.integers(0, n - 1))] = draw(nonzero)
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_matches_dense_fraction_operator(data):
+    """_apply(dec, v, c, t) on the columns of M is (c s ad_a - t) v, with the dense
+    Fraction matrix ad_a built from `multiply`."""
+    dec = data.draw(st.sampled_from(_decompositions()))
+    a, n, s = dec.axis, dec.axis.algebra.dim, dec.s
+    ad_cols = [multiply(a, b).coords for b in a.algebra.basis_elements()]
+    c, t = data.draw(st.sampled_from([(1, 0), (2, s), (1, s)]))
+    v = data.draw(_int_vectors(n))
+    applied = _apply(dec, v, c, t)
+    assert all(type(x) is int for x in applied)
+    assert applied == [c * s * sum(col[i] * vj for col, vj in zip(ad_cols, v)) - t * v[i]
+                       for i in range(n)]
 
 
 def test_check_fusion_matches_ordered_pair_reference(algebras):
@@ -709,6 +748,26 @@ def test_invariance_checked_once_per_analysis(monkeypatch):
         calls.clear()
         assert analyze_findings(A, {})["gram_invariant"]
         assert calls == [A]
+
+
+def test_analyze_forms_each_axis_columns_once(monkeypatch):
+    """The spectrum witness forms every column of (2M - s)M; the projection reads only
+    row p of it, as a row vector times M, so `analyze` forms the columns once per axis."""
+    from axialq import axial
+    from axialq.cli import analyze_findings
+    A, predicted = matsuo(sn_transpositions(5))
+    calls = []
+    original = axial._columns
+
+    def counting(dec, c, t):
+        calls.append(dec.axis)
+        return original(dec, c, t)
+
+    monkeypatch.setattr(axial, "_columns", counting)
+    findings = analyze_findings(A, {})
+    assert calls == list(A.designated_axes)
+    assert findings["gram_notes"]["axes_span"]
+    assert findings["gram"] == [[str(x) for x in row] for row in predicted.entries()]
 
 
 def test_fusion_checked_only_where_read(monkeypatch):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from axialq.axial import frobenius_solve
 from axialq.cli import MAX_WORD_DEPTH, _build_parser, gram_for, main, parse_word, run_command
+from axialq.constructions import matsuo, sn_transpositions
 from axialq.errors import ParseError
 from axialq.exactla import Matrix, rref
 from axialq.fileio import AlgebraFile, format_rational, parse_rational
@@ -76,6 +78,18 @@ def test_algebra_file_rejects_bad_shapes_and_rationals():
         AlgebraFile.from_json("not json")
     with pytest.raises(ParseError):
         AlgebraFile.from_json("[1, 2]")
+
+
+def test_algebra_file_parses_each_rational_string_once():
+    """Equal rational strings in one file load as one Fraction object."""
+    A, _ = matsuo(sn_transpositions(4))
+    d = AlgebraFile.from_algebra("s4", A).to_dict()
+    d["generators"] = d["axes"]
+    af = AlgebraFile.from_dict(d)
+    entries = [c for plane in af.algebra.structure for row in plane for c in row]
+    entries += [c for a in af.algebra.designated_axes for c in a.coords]
+    entries += [c for g in af.generators for c in g]
+    assert len({id(c) for c in entries}) == len(set(entries)) == 4  # 0, 1, 1/2, 1/4
 
 
 def test_algebra_file_writes_generators_back():
@@ -759,3 +773,58 @@ def test_fuzzed_files_and_argv_keep_exit_contract(fuzz_dir, data):
     assert code in (0, 1, 2), argv
     assert set(json.loads(out.getvalue())) == {"command", "inputs", "findings", "status",
                                                "message"}
+
+
+# --- findings pinned byte for byte -----------------------------------------------------
+
+_CI_FILES = {  # the hand-written files of the CI console-script step
+    "fusion-break.json": {
+        "name": "fusion-break", "dimension": 3, "basis": ["e", "u", "w"],
+        "table": [[["1", "0", "0"], ["0", "1/2", "0"], ["0", "0", "0"]],
+                  [["0", "1/2", "0"], ["0", "1", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]],
+        "axes": [["1", "0", "0"]]},
+    "spectrum-break.json": {
+        "name": "spectrum-break", "dimension": 2, "basis": ["e", "u"],
+        "table": [[["1", "0"], ["0", "1/3"]], [["0", "1/3"], ["0", "0"]]],
+        "axes": [["1", "0"]]},
+    "non-jordan.json": {
+        "name": "non-jordan", "dimension": 3, "basis": ["e", "x", "y"],
+        "table": [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]],
+        "axes": [["1", "0", "0"]]},
+    "qxq.json": {
+        "name": "QxQ", "dimension": 2, "basis": ["p", "q"],
+        "table": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+        "axes": [["1", "1"], ["1", "0"]]},
+}
+_PINNED_CONSTRUCTIONS = {
+    "b-1-4.json": ["twogen", "--alpha", "1/4"],
+    "matsuo-s4.json": ["matsuo", "--sn", "4"],
+    "h4p.json": ["hnprime", "--n", "4"],
+    "m3.json": ["matrix", "--n", "3"],
+    "spin-1-4-9.json": ["spin", "--diag", "1,4,9"],
+}
+_PINNED_COMMANDS = [["analyze"], ["frobenius"], ["radical"], ["capacity"], ["chain"],
+                    ["unit", "--recursive"]]
+FINDINGS_SHA256 = "c4ee8c3bb04dcb8f5e1d5cc4cd327a410aa5f09dc447f6b35bf0bff502760896"
+
+
+def test_findings_are_byte_identical(tmp_path, monkeypatch):
+    """One sha256 over the exit code and stdout of every pinned command on every pinned
+    file, named relative to the working directory so that no path enters a report.  A
+    change that alters any finding, message or exit code changes it."""
+    monkeypatch.chdir(tmp_path)
+    for name, argv in _PINNED_CONSTRUCTIONS.items():
+        assert run_command(["construct", *argv, "--out", name])[1] == 0, argv
+    for name, d in _CI_FILES.items():
+        Path(name).write_text(json.dumps(d))
+    digest = hashlib.sha256()
+    for name in [*_PINNED_CONSTRUCTIONS, *_CI_FILES]:
+        for command in _PINNED_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command[0], name, *command[1:]])
+            digest.update(f"{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == FINDINGS_SHA256

@@ -245,21 +245,24 @@ def ideal_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
 def find_unit(A: Algebra) -> Optional[Element]:
     """The two-sided unit of A, or None.
 
-    Solves the stacked linear system e * basis_j = basis_j for all j.  A
-    positive-dimensional solution space cannot happen for a commutative
-    unital algebra and is reported as an invariant failure.
+    Solves e * basis_j = basis_j for all j in integers, sum_i e_i T[i][j][k] = d delta_jk
+    with (d, T) = ``scaled_terms()``, without the equations 0 = 0.  A positive-dimensional
+    solution space cannot happen for a commutative unital algebra and is reported as an
+    invariant failure.
     """
     n = A.dim
     if n == 0:
         return None
-    # unknowns e_i; equations sum_i e_i c[i][j][k] = delta_jk
-    rows = []
-    rhs = []
+    d, table = A.scaled_terms()
+    rows, rhs = [], []
     for j in range(n):
+        cols = [dict(table[i][j]) for i in range(n)]
         for k in range(n):
-            rows.append([A.structure[i][j][k] for i in range(n)])
-            rhs.append(Fraction(1) if j == k else Fraction(0))
-    x, nullity = solve(Matrix(rows), rhs)
+            row = tuple(col.get(k, 0) for col in cols)
+            if j == k or any(row):
+                rows.append(row)
+                rhs.append(d * (j == k))
+    x, nullity = solve(Matrix._from_rows(tuple(rows), n), rhs)
     if x is None:
         return None
     if nullity:

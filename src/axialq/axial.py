@@ -21,6 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from .algcore import Algebra, Element, _nonzero, _product, ideal_closure
 from .errors import (
+    AlgebraMismatch,
     Inconsistent,
     InvariantViolation,
     NotBasisOfAxes,
@@ -55,7 +56,8 @@ HALF = Fraction(1, 2)
 @dataclass(frozen=True, slots=True)
 class EigDecomposition:
     """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis in
-    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j])."""
+    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j]).
+    sparse holds each eigenspace's basis vectors scaled to integers, as nonzero (i, x) lists."""
 
     axis: Element
     v0: SubspaceBasis
@@ -63,6 +65,7 @@ class EigDecomposition:
     v1: SubspaceBasis
     s: int = field(repr=False)
     cols: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    sparse: tuple[tuple[list[tuple[int, int]], ...], ...] = field(repr=False)
 
     @property
     def semisimple(self) -> bool:
@@ -123,7 +126,8 @@ def eigendecompose(e: Element) -> EigDecomposition:
                       tuple(c * x - t * (i == j) for j, x in enumerate(row))
                       for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
         m = tuple(tuple((i, x // g) for i, x in _nonzero(col)) for col in cols)
-        dec = A.decompositions[e.coords] = EigDecomposition(e, *spaces, s, m)
+        sparse = tuple(tuple(_nonzero(_integral(v)[1]) for v in space.vectors) for space in spaces)
+        dec = A.decompositions[e.coords] = EigDecomposition(e, *spaces, s, m, sparse)
     return dec
 
 
@@ -174,15 +178,14 @@ def check_axis(e: Element) -> AxisReport:
 def check_fusion(dec: EigDecomposition) -> FusionReport:
     """Verify the four fusion inclusions by exhaustive pair products.
 
-    Integer eigenvectors are multiplied through ``Algebra.scaled_terms``; with M = s * ad_axis
-    p lies in A0 iff Mp = 0, in A1/2 iff (2M - s)p = 0 and in A0 + A1 iff M(M - s)p = 0
-    (x and x - 1 are coprime).  By linearity, pairs of basis vectors suffice.
+    The decomposition's integer eigenvectors are multiplied through ``scaled_terms()``; with
+    M = s * ad_axis p lies in A0 iff Mp = 0, in A1/2 iff (2M - s)p = 0 and in A0 + A1 iff
+    M(M - s)p = 0 (x and x - 1 are coprime).  By linearity, pairs of basis vectors suffice.
     """
     if not dec.semisimple:
         raise NotSemisimple("fusion check needs a semisimple decomposition")
     _, table = dec.axis.algebra.scaled_terms()
-    v0, vh, v1 = ([_nonzero(_integral(v)[1]) for v in space.vectors]
-                  for space in (dec.v0, dec.v_half, dec.v1))
+    v0, vh, v1 = dec.sparse
 
     def within(left, right, test) -> bool:
         # the product commutes (make_algebra checks it): a square needs w from u on
@@ -262,6 +265,8 @@ class GramForm:
         self.gram = gram
 
     def value(self, x: Element, y: Element) -> Fraction:
+        if x.algebra is not self.algebra or y.algebra is not self.algebra:
+            raise AlgebraMismatch("elements live in another algebra than the form")
         gv = self.gram.apply(y.coords)
         return sum(a * b for a, b in zip(x.coords, gv))
 

@@ -7,6 +7,7 @@ Every command writes a JSON report to stdout and exits with
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import random
@@ -388,6 +389,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="axialq", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -400,9 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: Sequence[str]) -> tuple[Report, int]:
     """Execute one CLI invocation and return its report and exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 2
         return Report(command=" ".join(argv), status="error" if code else "pass",

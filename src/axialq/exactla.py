@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Scalars cross the API as ``fractions.Fraction``; elimination runs on
-Python ints inside ``rref``, which takes int rows as they are.  There is no
-floating point anywhere in the package.  Matrices and subspace bases are
-immutable after construction, so everything here is safe to share between threads.
+Scalars cross the API as ``fractions.Fraction``; elimination runs on Python ints in one
+loop, ``_eliminate``, shared by ``rref``, ``kernel_basis`` and ``SubspaceBasis``: kernel
+vectors stay integers until ``SubspaceBasis`` builds its canonical rows.  There is no floating
+point anywhere.  Matrices and subspace bases are immutable, so safe to share between threads.
 """
 
 from __future__ import annotations
@@ -125,31 +125,31 @@ class RrefResult:
         self.rank = len(pivot_columns)
 
 
-def _integral(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, d * row), d the lcm of the row's denominators."""
-    d = lcm(*(a.denominator for a in row))
+def _integral(row: Sequence) -> tuple[int, list[int]]:
+    """(d, d * row), d the lcm of the row's denominators; entries other than int and
+    Fraction go through ``vec``, so strings parse and floats raise TypeError."""
+    if all(type(a) is int for a in row):
+        return 1, list(row)
+    try:
+        d = lcm(*(a.denominator for a in row))
+    except AttributeError:
+        return _integral(vec(row))
     return d, [a.numerator * (d // a.denominator) for a in row]
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form with pivot columns and rank.
-
-    Fraction-free Gauss-Jordan elimination: every row is scaled to
-    integers, each elimination step combines a row with the pivot row
-    using cofactors reduced by their gcd, and the row's content is
-    divided out afterwards, so entries stay small.  Fractions are built
-    only for the final, canonical reduced rows.
-    """
-    rows = [_integral(r)[1] for r in m.entries()]
-    nrows, ncols = m.rows, m.cols
+def _eliminate(entries: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the rows scaled to integers: each step
+    combines a row with the pivot row using cofactors reduced by their gcd and divides out
+    the row's content, so entries stay small.  Returns the rows and the pivot columns: row
+    r has its pivot at pivots[r], every other row is 0 there, rows past the rank are 0."""
+    rows = [_integral(r)[1] for r in entries]
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("vector length != ambient dimension")
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -167,14 +167,25 @@ def rref(m: Matrix) -> RrefResult:
         r += 1
         if r == nrows:
             break
+    return rows, pivots
+
+
+def _canonical(rows: list[list[int]], pivots: list[int]) -> tuple[Vector, ...]:
+    """The nonzero rows of an eliminated integer matrix, each divided by its pivot."""
     zero, one = Fraction(0), Fraction(1)
-    reduced = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        reduced.append(tuple(zero if not a else one if a == p else Fraction(a, p)
-                             for a in row))
-    reduced += [(zero,) * ncols] * (nrows - len(pivots))
-    return RrefResult(Matrix._from_rows(tuple(reduced), ncols), pivots)
+    return tuple(tuple(zero if not a else one if a == row[c] else Fraction(a, row[c]) for a in row)
+                 for row, c in zip(rows, pivots))
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Unique reduced row echelon form with pivot columns and rank.
+
+    The rows are eliminated in integers by ``_eliminate``; Fractions are
+    built only for the final, canonical reduced rows.
+    """
+    rows, pivots = _eliminate(m.entries(), m.cols)
+    reduced = _canonical(rows, pivots) + ((Fraction(0),) * m.cols,) * (m.rows - len(pivots))
+    return RrefResult(Matrix._from_rows(reduced, m.cols), pivots)
 
 
 class SubspaceBasis:
@@ -189,14 +200,9 @@ class SubspaceBasis:
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence]):
         self.ambient_dim = ambient_dim
-        vs = [vec(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vs):
-            raise ValueError("vector length != ambient dimension")
-        self.vectors, self.pivots = (), ()
-        if vs:
-            res = rref(Matrix(vs))
-            self.vectors = res.reduced.entries()[:res.rank]
-            self.pivots = tuple(res.pivot_columns)
+        rows, pivots = _eliminate(vectors, ambient_dim)
+        self.vectors = _canonical(rows, pivots)
+        self.pivots = tuple(pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -261,17 +267,16 @@ class SubspaceBasis:
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
-    """Basis of the right null space of m."""
-    res = rref(m)
-    pivots = res.pivot_columns
-    free = [c for c in range(m.cols) if c not in pivots]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -res.reduced[r, f]
-        out.append(v)
+    """Basis of the right null space of m, in integers until ``SubspaceBasis``: with row r
+    of the eliminated m pivoting at column c_r, each free column f gives the kernel
+    vector v[f] = L, v[c_r] = -row_r[f] L / row_r[c_r], L the lcm of the pivots."""
+    rows, pivots = _eliminate(m.entries(), m.cols)
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    free = sorted(set(range(m.cols)).difference(pivots))
+    out = [[scale * (k == f) for k in range(m.cols)] for f in free]
+    for v, f in zip(out, free):
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] * scale // row[c]
     return SubspaceBasis(m.cols, out)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from axialq import (
+    Element,
     eigendecompose,
     find_unit,
     ideal_closure,
@@ -19,8 +20,13 @@ from axialq import (
     subalgebra_closure,
 )
 from axialq.constructions import spin_factor
-from axialq.errors import AlgebraMismatch, CommutativityViolation, NotIdempotent
-from axialq.exactla import SubspaceBasis
+from axialq.errors import (
+    AlgebraMismatch,
+    CommutativityViolation,
+    InvariantViolation,
+    NotIdempotent,
+)
+from axialq.exactla import Matrix, SubspaceBasis, solve
 from axialq.fileio import AlgebraFile
 
 from conftest import by_name, direct_sum, fusion_break, random_element, registry
@@ -307,3 +313,56 @@ def test_jordan_check_builds_no_element(monkeypatch):
     monkeypatch.setattr(algcore, "multiply", fraction_path)
     monkeypatch.setattr(algcore.Element, "__init__", fraction_path)
     assert all(jordan_identity_check(A) for A in algebras)
+
+
+def _unit_oracle(A):
+    """find_unit as a dense Fraction system: sum_i e_i c[i][j][k] = delta_jk, one row
+    per (j, k), solved as it stands; the outcome or the error type."""
+    n = A.dim
+    if n == 0:
+        return None
+    rows = [[A.structure[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    rhs = [F(j == k) for j in range(n) for k in range(n)]
+    x, nullity = solve(Matrix(rows), rhs)
+    if x is None:
+        return None
+    return InvariantViolation if nullity else A.element(x)
+
+
+def _unit_outcome(A):
+    try:
+        return find_unit(A)
+    except InvariantViolation:
+        return InvariantViolation
+
+
+def test_find_unit_matches_dense_oracle_on_constructions():
+    algebras = [*_product_algebras().values(), fusion_break(), _pair_algebra(),
+                make_algebra(1, ["n"], [[[F(0)]]]), spin_factor([1, 4, 9])]
+    units = [_unit_outcome(A) for A in algebras]
+    assert units == [_unit_oracle(A) for A in algebras]
+    assert None in units and any(isinstance(e, Element) for e in units)
+    for A, e in zip(algebras, units):
+        if e is not None:
+            assert all(multiply(e, b) == b for b in A.basis_elements())
+
+
+def _unitization(table):
+    """A + Q 1 for the algebra A of the table: the unit is the last basis vector."""
+    n = len(table)
+    out = [[list(table[i][j]) + [F(0)] if i < n and j < n else
+            [F(k == (i if j == n else j)) for k in range(n + 1)]
+            for j in range(n + 1)] for i in range(n + 1)]
+    return _table_algebra(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_commutative_tables())
+# the zero product, a nilpotent x x = y, and Q x Q: no unit, no unit, unit
+@example([[[F(0)] * 2, [F(0)] * 2], [[F(0)] * 2, [F(0)] * 2]])
+@example([[[F(0), F(1)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(0)]]])
+@example([[[F(1), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(1)]]])
+def test_find_unit_matches_dense_oracle_on_random_tables(table):
+    A, U = _table_algebra(table), _unitization(table)
+    assert _unit_outcome(A) == _unit_oracle(A)
+    assert find_unit(U) == _unit_oracle(U) == U.basis_element(len(table))

@@ -26,6 +26,7 @@ from axialq import (
     radical,
 )
 from axialq.errors import (
+    AlgebraMismatch,
     Inconsistent,
     InvariantViolation,
     NotIdempotent,
@@ -33,7 +34,7 @@ from axialq.errors import (
     NotSpanning,
 )
 from axialq.axial import _apply
-from axialq.constructions import matsuo, sn_transpositions, spin_factor
+from axialq.constructions import matrix_jordan, matsuo, sn_transpositions, spin_factor
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
 from conftest import by_name, direct_sum, fusion_break, registry
@@ -340,6 +341,25 @@ def test_axis_checks_read_only_the_integer_ad_matrix(monkeypatch):
             for A in algebras for a in A.designated_axes] == involutions
 
 
+def test_fusion_reads_the_integer_eigenvectors_kept_on_the_decomposition(monkeypatch):
+    from axialq import axial
+    from axialq.exactla import _integral
+    algebras = [matsuo(sn_transpositions(4))[0], spin_factor([1, 4, 9]), fusion_break()]
+    decs = [eigendecompose(a) for A in algebras for a in A.designated_axes]
+    for dec in decs:
+        spaces = (dec.v0, dec.v_half, dec.v1)
+        assert dec.sparse == tuple(tuple([(i, x) for i, x in enumerate(_integral(v)[1]) if x]
+                                         for v in space.vectors) for space in spaces)
+    reports = [check_fusion(dec) for dec in decs]
+    assert {r.all_ok for r in reports} == {True, False}
+
+    def rescale(*args):
+        raise AssertionError("an eigenvector scaled to integers again")
+
+    monkeypatch.setattr(axial, "_integral", rescale)
+    assert [check_fusion(dec) for dec in decs] == reports
+
+
 @st.composite
 def _axis_algebras(draw):
     """Algebras of dimension 2-5 with e_0 idempotent and e_0 e_i = lam_i e_i + mu_i e_0,
@@ -400,6 +420,18 @@ def test_peirce_components_reassemble():
     assert multiply(a, xh) == HALF * xh
     # the projection coefficient equals the form value (a, x)
     assert alpha == info.g.value(a, x)
+
+
+def test_form_and_components_reject_elements_of_another_algebra():
+    A, B = matrix_jordan(2), matrix_jordan(2)
+    g, _ = frobenius_solve(A, A.designated_axes)
+    a, b = A.designated_axes[0], B.designated_axes[0]
+    assert a.coords == b.coords and g.value(a, a) == 1
+    for x, y in ((a, b), (b, a), (b, b)):
+        with pytest.raises(AlgebraMismatch):
+            g.value(x, y)
+    with pytest.raises(AlgebraMismatch):
+        peirce_components(eigendecompose(a), b)
 
 
 def _stacked_solve_components(dec, x):

@@ -243,6 +243,16 @@ def test_construct_and_analyze_roundtrip(tmp_path):
     assert f["unit"] == ["2/3", "2/3", "2/3"]
 
 
+def test_run_command_builds_its_parser_once(tmp_path):
+    path = _write_s3(tmp_path)
+    _build_parser.cache_clear()
+    runs = [run_command(argv) for argv in (["analyze", path], ["analyze", "--bogus", path],
+                                           ["analyze"], ["analyze", path])]
+    assert [code for _, code in runs] == [0, 2, 2, 0]
+    assert runs[0][0].to_json() == runs[-1][0].to_json()
+    assert _build_parser.cache_info().misses == 1
+
+
 def test_construct_inline_when_no_out():
     report, code = run_command(["construct", "twogen", "--alpha", "1/4"])
     assert code == 0

@@ -235,3 +235,70 @@ def test_coords_of_matches_solve(m, data):
     for wrong in {n + 1, max(n - 1, 0)} - {n}:
         with pytest.raises(ValueError):
             s.coords_of([F(0)] * wrong)
+
+
+# --- integer kernels and subspaces against sympy -----------------------------
+
+@st.composite
+def tall_integer_matrices(draw, max_cols=6):
+    """Tall integer matrices of low rank: B C with B (rows x r) and C (r x cols),
+    entries in [-6, 6], so pivots are negative or other than 1 and rows repeat
+    up to multiples, as in the shifted ad matrices that eigendecompose eliminates."""
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(ncols, 2 * ncols + 2))
+    rank = draw(st.integers(0, ncols))
+    entry = st.integers(-6, 6)
+    b = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
+                      min_size=nrows, max_size=nrows))
+    c = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=rank, max_size=rank))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] if rank
+             else [0] * ncols for row in b]
+
+
+def _sympy_rref_rows(sympy, rows):
+    """The nonzero rows of sympy's RREF of the given rows, as Fractions, and the pivots."""
+    if not rows:
+        return [], ()
+    reduced, pivots = sympy.Matrix(rows).rref()
+    return from_sympy(reduced)[:len(pivots)], pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_integer_matrices())
+def test_integer_kernel_and_subspace_match_sympy(sympy, rows):
+    ncols = len(rows[0])
+    m = Matrix._from_rows(tuple(tuple(r) for r in rows), ncols)
+    null = [list(v) for v in sympy.Matrix(rows).nullspace()]
+    ker = kernel_basis(m)
+    assert [list(v) for v in ker.vectors] == _sympy_rref_rows(sympy, null)[0]
+    span = SubspaceBasis(ncols, rows)
+    reduced, pivots = _sympy_rref_rows(sympy, rows)
+    assert [list(v) for v in span.vectors] == reduced
+    assert span.pivots == tuple(pivots)
+    assert span.vectors == rref(m).reduced.entries()[:len(pivots)]
+    assert ker.dim + span.dim == ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_integer_matrices())
+def test_subspace_takes_int_fraction_and_string_rows(rows):
+    ncols = len(rows[0])
+    halves = [[F(x, 2) for x in r] for r in rows]
+    as_ints = SubspaceBasis(ncols, rows)
+    assert SubspaceBasis(ncols, [[F(x) for x in r] for r in rows]) == as_ints
+    assert SubspaceBasis(ncols, [[str(x) for x in r] for r in rows]) == as_ints
+    assert SubspaceBasis(ncols, halves) == as_ints
+    assert SubspaceBasis(ncols, [[str(x) for x in r] for r in halves]) == as_ints
+    assert all(type(a) is F for v in as_ints.vectors for a in v)
+
+
+def test_subspace_rejects_floats_and_wrong_lengths():
+    for row in ([0.5, 1], [1, 0.5], [F(1), 0.5], ["1/2", 0.5]):
+        with pytest.raises(TypeError):
+            SubspaceBasis(2, [row])
+    for rows in ([[1, 2, 3]], [[1, 2], [3]], ([1] * k for k in (2, 3))):
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, rows)
+    # a generator of rows is read once
+    assert SubspaceBasis(2, ([x, 1] for x in (1, 2))).dim == 2

@@ -1,20 +1,19 @@
 """Commutative algebras given by structure constants.
 
-An algebra is a dimension, a named basis, and a rank-3 grid of exact
-rational structure constants c[i][j][k]: the product of basis elements
-i and j has coordinate c[i][j][k] on basis element k.  A list of
-designated axes (idempotents of interest) may ride along.
+An algebra is a dimension, a named basis, and exact rational structure constants
+c[i][j][k], kept once as the integer table (d, T) that every product reads: basis
+elements i and j multiply to c[i][j][k] on basis element k.  A list of designated
+axes (idempotents of interest) may ride along.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, CommutativityViolation, InvariantViolation, NotIdempotent
-from .exactla import Matrix, SubspaceBasis, solve, vec
+from .exactla import Matrix, SubspaceBasis, _integral, solve, vec
 
 __all__ = [
     "Algebra",
@@ -33,31 +32,19 @@ __all__ = [
 class Algebra:
     """Finite-dimensional commutative algebra over Q."""
 
-    __slots__ = ("dim", "basis_names", "structure", "terms", "_scaled", "decompositions",
-                 "designated_axes")
+    __slots__ = ("dim", "basis_names", "table", "decompositions", "designated_axes")
 
     def __init__(self, dim: int, basis_names: Sequence[str], structure):
-        self.dim = dim
+        """``structure[i][j]`` is the coordinate vector of (basis i) * (basis j); ``table``
+        is (d, T), d the lcm of the denominators and T[i][j] the nonzero (k, d c[i][j][k])."""
+        self.dim = n = dim
         self.basis_names = tuple(basis_names)
-        # structure[i][j] is the coordinate vector of (basis i) * (basis j);
-        # terms[i][j] lists its nonzero (k, c[i][j][k]), the table products read
-        self.structure = tuple(tuple(vec(row) for row in plane) for plane in structure)
-        self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-                           for plane in self.structure)
-        self._scaled = None
+        d, flat = _integral([c for plane in structure for row in plane for c in row])
+        self.table = d, tuple(tuple(tuple(_nonzero(flat[(i * n + j) * n:(i * n + j + 1) * n]))
+                                    for j in range(n)) for i in range(n))
         # axis coordinates -> Peirce decomposition, built by axial.eigendecompose
         self.decompositions = {}
         self.designated_axes: tuple[Element, ...] = ()
-
-    def scaled_terms(self) -> tuple[int, tuple]:
-        """``terms`` in integers: (d, T), d the lcm of the constants' denominators
-        and T[i][j] the nonzero (k, d * c[i][j][k]).  Built on first use."""
-        if self._scaled is None:
-            d = lcm(*(c.denominator for plane in self.terms for row in plane for _, c in row))
-            self._scaled = d, tuple(tuple(tuple((k, c.numerator * (d // c.denominator))
-                                                for k, c in row) for row in plane)
-                                    for plane in self.terms)
-        return self._scaled
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -176,9 +163,10 @@ def make_algebra(dim: int, names: Sequence[str], structure, axes=()) -> Algebra:
             or any(len(row) != dim for p in structure for row in p):
         raise ValueError("structure grid dimensions must all equal dim")
     alg = Algebra(dim, names, structure)
+    _, table = alg.table
     for i in range(dim):
         for j in range(i + 1, dim):
-            if alg.structure[i][j] != alg.structure[j][i]:
+            if table[i][j] != table[j][i]:
                 raise CommutativityViolation(
                     f"c[{i}][{j}] != c[{j}][{i}] ({names[i]}, {names[j]})")
     designated = []
@@ -197,8 +185,8 @@ def _nonzero(v) -> list[tuple[int, object]]:
 
 
 def _product(table, u, w) -> list:
-    """The product of the sparse vectors u and w through a table: ``terms``, or the T of
-    ``scaled_terms()``, which gives d times it."""
+    """d times the product of the sparse integer vectors u and w, through the T of
+    ``Algebra.table``."""
     p = [0] * len(table)
     for a, ua in u:
         row = table[a]
@@ -209,10 +197,21 @@ def _product(table, u, w) -> list:
     return p
 
 
+def _scaled_nonzero(v) -> tuple[int, list[tuple[int, int]]]:
+    """(p, the nonzero (i, p * v[i])): ``_integral`` of the nonzero entries of v alone."""
+    nz = _nonzero(v)
+    p, ints = _integral([c for _, c in nz])
+    return p, [(i, c) for (i, _), c in zip(nz, ints)]
+
+
 def multiply(x: Element, y: Element) -> Element:
-    """Bilinear product from the nonzero structure constants."""
+    """Bilinear product through the integer table: with x = u / p and y = w / q for
+    integer u and w, xy is the product of u and w through T divided by d p q."""
     x._same(y)
-    return Element(x.algebra, _product(x.algebra.terms, _nonzero(x.coords), _nonzero(y.coords)))
+    d, table = x.algebra.table
+    (p, u), (q, w) = _scaled_nonzero(x.coords), _scaled_nonzero(y.coords)
+    den, zero = d * p * q, Fraction(0)
+    return Element(x.algebra, [Fraction(c, den) if c else zero for c in _product(table, u, w)])
 
 
 def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
@@ -246,14 +245,14 @@ def find_unit(A: Algebra) -> Optional[Element]:
     """The two-sided unit of A, or None.
 
     Solves e * basis_j = basis_j for all j in integers, sum_i e_i T[i][j][k] = d delta_jk
-    with (d, T) = ``scaled_terms()``, without the equations 0 = 0.  A positive-dimensional
+    with (d, T) = ``A.table``, without the equations 0 = 0.  A positive-dimensional
     solution space cannot happen for a commutative unital algebra and is reported as an
     invariant failure.
     """
     n = A.dim
     if n == 0:
         return None
-    d, table = A.scaled_terms()
+    d, table = A.table
     rows, rhs = [], []
     for j in range(n):
         cols = [dict(table[i][j]) for i in range(n)]
@@ -318,11 +317,11 @@ def jordan_identity_check(A: Algebra) -> bool:
     for every i <= j <= k (McCrimmon, A Taste of Jordan Algebras, II.1).
     Commutativity collapses the six permutations of a triple to these three
     pairings; when i = j the pairing (i, k, i) counts twice.  The
-    commutators are built once from ``scaled_terms()``; every term scales
+    commutators are built once from the T of ``A.table``; every term scales
     by d**3, which keeps zero-ness.
     """
     n = A.dim
-    _, table = A.scaled_terms()
+    _, table = A.table
     # comm[r, m], r < m: the nonzero (y * n + t, coordinate t of [L_r, L_m] e_y),
     # scaled by d**2; [L_m, L_r] = -[L_r, L_m]
     comm = {}

@@ -4,12 +4,12 @@ Everything is exact; a "check" either returns booleans or raises one of the erro
 :mod:`axialq.errors` when a precondition is violated.  ``eigendecompose`` alone builds
 Peirce data, and each algebra keeps what it built, so an axis is decomposed once for the
 lifetime of its algebra.  The eigenspaces are the kernels of the integer ad matrix
-M = s * ad_axis, read off ``Algebra.scaled_terms()`` and kept by columns.  The spectrum
-witness, fusion membership, Peirce components and Miyamoto involution apply M by adding up
-the columns of a vector's nonzero entries, and an axis's projection coefficients are one
-row vector times M: no product with the axis, no further elimination.  ``frobenius_solve``
-and ``GramForm.is_invariant`` read the integer invariance equations from one function;
-``is_invariant`` evaluates them on G scaled once.
+M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  The
+spectrum witness, fusion membership, Peirce components and Miyamoto involution apply M by
+adding up the columns of a vector's nonzero entries, and an axis's projection coefficients
+are one row vector times M: no product with the axis, no further elimination.
+``frobenius_solve`` and ``GramForm.is_invariant`` read the integer invariance equations from
+one function; ``is_invariant`` evaluates them on G scaled once.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class FusionReport:
 def eigendecompose(e: Element) -> EigDecomposition:
     """Exact kernels of (ad_e - lambda I) for lambda in {0, 1/2, 1}.
 
-    With (d, T) = ``scaled_terms()`` and u = q e integral, column j of d q ad_e is u e_j
+    With (d, T) = ``Algebra.table`` and u = q e integral, column j of d q ad_e is u e_j
     through T; M = s ad_e for s = d q / gcd(d q, its entries), e is idempotent iff
     M u = s u (u u = d q u), and the kernels are those of M, 2M - s and M - s.  Built
     once per idempotent and kept in ``Algebra.decompositions`` for the lifetime of its
@@ -113,7 +113,7 @@ def eigendecompose(e: Element) -> EigDecomposition:
     A = e.algebra
     dec = A.decompositions.get(e.coords)
     if dec is None:
-        (d, table), n = A.scaled_terms(), A.dim
+        (d, table), n = A.table, A.dim
         q, u = _integral(e.coords)
         us = _nonzero(u)
         if _product(table, us, us) != [d * q * x for x in u]:
@@ -178,13 +178,13 @@ def check_axis(e: Element) -> AxisReport:
 def check_fusion(dec: EigDecomposition) -> FusionReport:
     """Verify the four fusion inclusions by exhaustive pair products.
 
-    The decomposition's integer eigenvectors are multiplied through ``scaled_terms()``; with
+    The decomposition's integer eigenvectors are multiplied through ``Algebra.table``; with
     M = s * ad_axis p lies in A0 iff Mp = 0, in A1/2 iff (2M - s)p = 0 and in A0 + A1 iff
     M(M - s)p = 0 (x and x - 1 are coprime).  By linearity, pairs of basis vectors suffice.
     """
     if not dec.semisimple:
         raise NotSemisimple("fusion check needs a semisimple decomposition")
-    _, table = dec.axis.algebra.scaled_terms()
+    _, table = dec.axis.algebra.table
     v0, vh, v1 = dec.sparse
 
     def within(left, right, test) -> bool:
@@ -237,12 +237,12 @@ def _invariance_equations(A: Algebra) -> tuple[list[list[int]], Iterator[list[tu
 
     g(p, q) = g(q, p) is unknown number index[p][q], numbered row by row along the
     upper triangle.  Each equation d((e_i e_j, e_k) - (e_i, e_j e_k)) = 0, d the
-    denominator of ``scaled_terms()``, for every j and every i < k, is yielded as a list
+    denominator of ``A.table``, for every j and every i < k, is yielded as a list
     of (unknown, integer coefficient) pairs, where an unknown may recur.  With a
     commutative product and a symmetric form, the equation for (k, j, i) is minus that
     for (i, j, k) and the one for (i, j, i) is 0, so these say all that n^3 triples say.
     """
-    n, (_, table) = A.dim, A.scaled_terms()
+    n, (_, table) = A.dim, A.table
     index = [[0] * n for _ in range(n)]
     for u, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
         index[p][q] = index[q][p] = u

@@ -410,25 +410,23 @@ def hn_prime_matsuo_isomorphism_check(
 
     ``correspondence`` maps H_n' basis positions to Matsuo basis positions
     (identity by default; a wrong permutation is a negative control).
-    Verifies structure constants and Gram matrices entrywise.
+    Verifies the integer structure tables and the Gram matrices entrywise.
     """
-    if not 3 <= n <= 5:
-        raise ValueError("check is intended for 3 <= n <= 5")
     H = sym_jordan_prime(n)
     M, gram_m = matsuo(sn_transpositions(n))
     dim = H.dim
     corr = list(correspondence) if correspondence is not None else list(range(dim))
     if sorted(corr) != list(range(dim)):
         raise ValueError("correspondence is not a permutation")
-    for i in range(dim):
-        for j in range(dim):
-            if sorted((corr[k], c) for k, c in H.terms[i][j]) != list(M.terms[corr[i]][corr[j]]):
-                return False
+    (dh, th), (dm, tm) = H.table, M.table
+    if dh != dm or any(sorted((corr[k], c) for k, c in th[i][j]) != list(tm[corr[i]][corr[j]])
+                       for i in range(dim) for j in range(dim)):
+        return False
     # trace Gram of H_n' vs the predicted Matsuo Gram
     mats = _hn_prime_axes(n)
     for i in range(dim):
         for j in range(dim):
-            tr = sum((mats[i] @ mats[j])[k, k] for k in range(n))
-            if tr != gram_m[corr[i], corr[j]]:
+            prod = mats[i] @ mats[j]
+            if sum(prod[k, k] for k in range(n)) != gram_m[corr[i], corr[j]]:
                 return False
     return True

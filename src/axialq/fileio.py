@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algcore import Algebra, make_algebra
+from .algcore import Algebra, make_algebra, multiply
 from .errors import ParseError
 
 __all__ = [
@@ -73,13 +73,15 @@ class AlgebraFile:
         return cls(name=name, algebra=algebra)
 
     def to_dict(self) -> dict:
-        A = self.algebra
+        A, n = self.algebra, self.algebra.dim
+        basis = A.basis_elements()  # e_j e_i = e_i e_j: each product is formed once
+        cells = {(i, j): [format_rational(c) for c in multiply(basis[i], basis[j]).coords]
+                 for i in range(n) for j in range(i, n)}
         out = {
             "name": self.name,
-            "dimension": A.dim,
+            "dimension": n,
             "basis": list(A.basis_names),
-            "table": [[[format_rational(c) for c in A.structure[i][j]]
-                       for j in range(A.dim)] for i in range(A.dim)],
+            "table": [[list(cells[min(i, j), max(i, j)]) for j in range(n)] for i in range(n)],
             "axes": [[format_rational(c) for c in a.coords] for a in A.designated_axes],
         }
         if self.generators is not None:

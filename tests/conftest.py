@@ -34,9 +34,28 @@ from axialq.constructions import (
     sym_jordan_prime,
     two_gen_algebra,
 )
+from axialq.exactla import vec
 from axialq.jordanhalf import x_of
 
 HALF = Fraction(1, 2)
+
+# id(algebra) -> (algebra, the structure grid it was built from), for source_grid
+_SOURCE_GRIDS: dict[int, tuple[Algebra, tuple]] = {}
+_algebra_init = Algebra.__init__
+
+
+def _recording_init(self, dim, basis_names, structure):
+    _algebra_init(self, dim, basis_names, structure)
+    _SOURCE_GRIDS[id(self)] = self, tuple(tuple(vec(row) for row in plane) for plane in structure)
+
+
+Algebra.__init__ = _recording_init
+
+
+def source_grid(A: Algebra) -> tuple:
+    """The structure constants c[i][j][k] that A was built from, as Fractions: every algebra
+    built while the tests run records its grid, so oracles read it and never A.table."""
+    return _SOURCE_GRIDS[id(A)][1]
 
 
 @dataclass(frozen=True)
@@ -162,8 +181,9 @@ def direct_sum(A: Algebra, B: Algebra) -> Algebra:
     n, z = A.dim + B.dim, Fraction(0)
     table = [[[z] * n for _ in range(n)] for _ in range(n)]
     for X, off in ((A, 0), (B, A.dim)):
+        grid = source_grid(X)
         for i, j, k in itertools.product(range(X.dim), repeat=3):
-            table[off + i][off + j][off + k] = X.structure[i][j][k]
+            table[off + i][off + j][off + k] = grid[i][j][k]
     embed = [(z,) * off + a.coords + (z,) * (n - off - X.dim)
              for X, off in ((A, 0), (B, A.dim)) for a in X.designated_axes]
     return make_algebra(n, [f"e{i}" for i in range(n)], table, embed)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from axialq import (
     restrict_to_subspace,
     subalgebra_closure,
 )
-from axialq.constructions import spin_factor
+from axialq.constructions import spin_factor, two_gen_algebra
 from axialq.errors import (
     AlgebraMismatch,
     CommutativityViolation,
@@ -29,7 +30,7 @@ from axialq.errors import (
 from axialq.exactla import Matrix, SubspaceBasis, solve
 from axialq.fileio import AlgebraFile
 
-from conftest import by_name, direct_sum, fusion_break, random_element, registry
+from conftest import by_name, direct_sum, fusion_break, random_element, registry, source_grid
 
 F = Fraction
 
@@ -57,7 +58,7 @@ def test_make_algebra_validates_commutativity():
 def test_make_algebra_validates_axes():
     A = _pair_algebra()
     with pytest.raises(NotIdempotent):
-        make_algebra(2, list(A.basis_names), A.structure, axes=[[F(2), F(0)]])
+        make_algebra(2, list(A.basis_names), source_grid(A), axes=[[F(2), F(0)]])
 
 
 def test_element_arithmetic_and_mismatch():
@@ -172,44 +173,66 @@ def test_spin_product_commutes(xc, yc):
 
 @functools.cache
 def _product_algebras():
-    """The conftest algebras, one restriction to a Peirce 0-space, and a direct sum."""
+    """The conftest algebras, B(1/3) (constants with denominators 2 and 3), one restriction
+    to a Peirce 0-space, and a direct sum."""
     out = {info.name: info.A for info in registry()}
+    out["twogen_13"] = two_gen_algebra(F(1, 3))
     h3 = by_name("h3").A
     out["h3_v0"], _ = restrict_to_subspace(h3, eigendecompose(h3.designated_axes[0]).v0)
     out["matsuo_s3+twogen_14"] = direct_sum(by_name("matsuo_s3").A, by_name("twogen_14").A)
     return out
 
 
-_COORD = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+# coordinates: zero, small denominators, and denominators coprime to every table's d
+_COORD = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                   st.builds(F, st.integers(-9, 9), st.sampled_from([5, 7, 25, 35])))
+# the leading coordinates of an operand, zero after them: the empty list is the zero element
+_OPERAND = st.lists(_COORD, max_size=max(A.dim for A in _product_algebras().values()))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(_product_algebras())), st.data())
-def test_multiply_matches_dense_sum(name, data):
+@given(st.sampled_from(sorted(_product_algebras())), _OPERAND, _OPERAND)
+@example("twogen_13", [F(1, 5), F(-3, 7), F(2, 35)], [F(-1, 25), F(4, 7), F(1)])
+@example("twogen_13", [], [F(1, 5), F(1, 2), F(-1, 3)])
+@example("twogen_13", [F(3, 7)], [])
+def test_multiply_matches_dense_sum(name, xc, yc):
     A = _product_algebras()[name]
-    x, y = (A.element(data.draw(st.lists(_COORD, min_size=A.dim, max_size=A.dim)))
-            for _ in range(2))
-    n, c = A.dim, A.structure
+    n, c = A.dim, source_grid(A)
+    x, y = (A.element((list(v) + [F(0)] * n)[:n]) for v in (xc, yc))
     dense = [sum((x.coords[i] * y.coords[j] * c[i][j][k]
                   for i in range(n) for j in range(n)), F(0)) for k in range(n)]
     assert multiply(x, y).coords == tuple(dense)
 
 
-def _assert_terms_are_nonzero_structure(A):
+def _assert_table_is_scaled_grid(A):
+    """T[i][j] lists the nonzero (k, d c[i][j][k]) in order of k, as ints, with d the lcm
+    of the denominators of the grid c that A was built from."""
+    c = source_grid(A)
+    d, table = A.table
+    assert d == lcm(*(x.denominator for plane in c for row in plane for x in row))
     for i in range(A.dim):
         for j in range(A.dim):
-            ks = [k for k, _ in A.terms[i][j]]
-            assert ks == sorted(set(ks)) and all(c != 0 for _, c in A.terms[i][j])
-            assert [dict(A.terms[i][j]).get(k, 0) for k in range(A.dim)] == list(A.structure[i][j])
+            ks = [k for k, _ in table[i][j]]
+            assert ks == sorted(set(ks)) and all(type(x) is int and x for _, x in table[i][j])
+            assert [F(dict(table[i][j]).get(k, 0), d) for k in range(A.dim)] == list(c[i][j])
 
 
 def test_terms_list_the_nonzero_structure_constants():
     A = by_name("matsuo_s4").A
     sub, _ = restrict_to_subspace(A, eigendecompose(A.designated_axes[0]).v0)
     loaded = AlgebraFile.from_json(AlgebraFile.from_algebra("s4", A).to_json()).algebra
-    for X in (_pair_algebra(), A, sub, loaded):
-        _assert_terms_are_nonzero_structure(X)
-    assert loaded.terms == A.terms
+    for X in (_pair_algebra(), A, sub, loaded, _product_algebras()["twogen_13"]):
+        _assert_table_is_scaled_grid(X)
+    assert source_grid(loaded) == source_grid(A)
+    assert loaded.table == A.table
+
+
+def _scaled_grid(A) -> tuple[int, list]:
+    """The grid A was built from, times the lcm d of its denominators, as sparse integer
+    rows: the oracles' own (d, T), made without reading A.table."""
+    c = source_grid(A)
+    d = lcm(*(x.denominator for plane in c for row in plane for x in row))
+    return d, [[[(k, int(x * d)) for k, x in enumerate(row) if x] for row in plane] for plane in c]
 
 
 def _jordan_oracle(A) -> bool:
@@ -217,7 +240,7 @@ def _jordan_oracle(A) -> bool:
     basis triple i <= j <= k and each e_y, the sum over the three pairings (p, q, r)
     of ((e_p e_q) e_y) e_r - (e_p e_q)(e_y e_r), on integer vectors scaled by d**3."""
     n = A.dim
-    _, table = A.scaled_terms()
+    _, table = _scaled_grid(A)
 
     def times_basis(x, b):
         out = [0] * n
@@ -294,7 +317,7 @@ def test_jordan_check_matches_oracle_on_perturbed_constants():
         n = A.dim
         for _ in range(30):
             i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            table = [[list(row) for row in plane] for plane in A.structure]
+            table = [[list(row) for row in plane] for plane in source_grid(A)]
             table[i][j][k] += rng.choice([F(1), F(-1), F(1, 2), F(-2, 3)])
             table[j][i][k] = table[i][j][k]
             B = _table_algebra(table)
@@ -318,10 +341,10 @@ def test_jordan_check_builds_no_element(monkeypatch):
 def _unit_oracle(A):
     """find_unit as a dense Fraction system: sum_i e_i c[i][j][k] = delta_jk, one row
     per (j, k), solved as it stands; the outcome or the error type."""
-    n = A.dim
+    n, c = A.dim, source_grid(A)
     if n == 0:
         return None
-    rows = [[A.structure[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    rows = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
     rhs = [F(j == k) for j in range(n) for k in range(n)]
     x, nullity = solve(Matrix(rows), rhs)
     if x is None:

@@ -37,7 +37,7 @@ from axialq.axial import _apply
 from axialq.constructions import matrix_jordan, matsuo, sn_transpositions, spin_factor
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
-from conftest import by_name, direct_sum, fusion_break, registry
+from conftest import by_name, direct_sum, fusion_break, registry, source_grid
 
 F = Fraction
 HALF = F(1, 2)
@@ -544,12 +544,12 @@ def _reference_frobenius_solve(A, axes):
     def gidx(i, j):
         return unknowns[min(i, j), max(i, j)]
 
-    rows = []
+    rows, c = [], source_grid(A)
     for i, j, k in itertools.product(range(n), repeat=3):
         row = [F(0)] * len(unknowns)
         for l in range(n):
-            row[gidx(l, k)] += A.structure[i][j][l]
-            row[gidx(i, l)] -= A.structure[j][k][l]
+            row[gidx(l, k)] += c[i][j][l]
+            row[gidx(i, l)] -= c[j][k][l]
         if any(row):
             rows.append(row)
     rhs = [F(0)] * len(rows) + [F(1)] * len(axes)
@@ -607,7 +607,7 @@ def _reference_is_invariant(A, gram):
     """(e_i e_j, e_k) = (e_i, e_j e_k) on every triple, from the products' form values."""
     n, g = A.dim, gram.entries()
     gc = [[[sum(c * g[l][k] for l, c in enumerate(cij)) for k in range(n)] for cij in plane]
-          for plane in A.structure]
+          for plane in source_grid(A)]
     return all(gc[i][j][k] == gc[j][k][i] for i, j, k in itertools.product(range(n), repeat=3))
 
 

@@ -12,14 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axialq.axial import frobenius_solve
+from axialq import fileio
+from axialq.algcore import restrict_to_subspace
+from axialq.axial import eigendecompose, frobenius_solve
 from axialq.cli import MAX_WORD_DEPTH, _build_parser, gram_for, main, parse_word, run_command
 from axialq.constructions import matsuo, sn_transpositions
 from axialq.errors import ParseError
 from axialq.exactla import Matrix, rref
 from axialq.fileio import AlgebraFile, format_rational, parse_rational
 
-from conftest import fusion_break
+from conftest import by_name, fusion_break, registry, source_grid
 
 F = Fraction
 
@@ -43,16 +45,25 @@ def test_parse_rational_rejects(bad):
 # --- algebra files --------------------------------------------------------------
 
 def test_algebra_file_roundtrip():
-    from axialq.constructions import matsuo, sn_transpositions
-    A, _ = matsuo(sn_transpositions(3))
-    text = AlgebraFile.from_algebra("s3", A).to_json()
-    B = AlgebraFile.from_json(text).algebra
-    assert B.dim == A.dim
-    assert B.basis_names == A.basis_names
-    assert B.structure == A.structure
-    assert [a.coords for a in B.designated_axes] == [a.coords for a in A.designated_axes]
-    # a second round trip is byte-identical
-    assert AlgebraFile.from_algebra("s3", B).to_json() == text
+    """Every conftest algebra, a restriction to the 0-space of an axis and a
+    dimension-0 algebra (d the lcm of no denominators) are written, read back with
+    the constants they were built from, and rewritten byte-identically."""
+    m3 = by_name("m3").A
+    algebras = [info.A for info in registry()]
+    algebras.append(restrict_to_subspace(m3, eigendecompose(m3.designated_axes[0]).v0)[0])
+    empty = {"name": "empty", "dimension": 0, "basis": [], "table": [], "axes": []}
+    algebras.append(AlgebraFile.from_dict(empty).algebra)
+    assert algebras[-1].table == (1, ())
+    for A in algebras:
+        text = AlgebraFile.from_algebra("x", A).to_json()
+        B = AlgebraFile.from_json(text).algebra
+        assert B.dim == A.dim
+        assert B.basis_names == A.basis_names
+        assert source_grid(B) == source_grid(A)
+        assert [a.coords for a in B.designated_axes] == [a.coords for a in A.designated_axes]
+        # a second round trip is byte-identical
+        assert AlgebraFile.from_algebra("x", B).to_json() == text
+    assert json.loads(text) == empty | {"name": "x"}
 
 
 def test_algebra_file_rejects_asymmetric_table():
@@ -80,16 +91,21 @@ def test_algebra_file_rejects_bad_shapes_and_rationals():
         AlgebraFile.from_json("[1, 2]")
 
 
-def test_algebra_file_parses_each_rational_string_once():
-    """Equal rational strings in one file load as one Fraction object."""
+def test_algebra_file_parses_each_rational_string_once(monkeypatch):
+    """Each distinct rational string in one file is parsed once, and equal entries of
+    the axes and generators load as one Fraction object."""
     A, _ = matsuo(sn_transpositions(4))
     d = AlgebraFile.from_algebra("s4", A).to_dict()
     d["generators"] = d["axes"]
+    parsed, parse = [], fileio.parse_rational
+    monkeypatch.setattr(fileio, "parse_rational", lambda s: parsed.append(s) or parse(s))
     af = AlgebraFile.from_dict(d)
-    entries = [c for plane in af.algebra.structure for row in plane for c in row]
-    entries += [c for a in af.algebra.designated_axes for c in a.coords]
+    strings = [c for vectors in (*d["table"], d["axes"], d["generators"])
+               for v in vectors for c in v]
+    assert sorted(parsed) == sorted(set(strings)) == ["-1/4", "0", "1", "1/4"]
+    entries = [c for a in af.algebra.designated_axes for c in a.coords]
     entries += [c for g in af.generators for c in g]
-    assert len({id(c) for c in entries}) == len(set(entries)) == 4  # 0, 1, 1/2, 1/4
+    assert len({id(c) for c in entries}) == len(set(entries)) == 2  # 0, 1
 
 
 def test_algebra_file_writes_generators_back():

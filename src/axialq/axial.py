@@ -259,7 +259,7 @@ class GramForm:
     def __init__(self, algebra: Algebra, gram: Matrix):
         if gram.rows != algebra.dim or gram.cols != algebra.dim:
             raise ValueError("Gram matrix shape != algebra dimension")
-        if gram != gram.transpose():
+        if gram.entries() != tuple(zip(*gram.entries())):
             raise InvariantViolation("Gram matrix is not symmetric")
         self.algebra = algebra
         self.gram = gram

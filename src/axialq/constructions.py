@@ -1,6 +1,9 @@
 """Factories for the example algebras: spin factors, matrix Jordan algebras
 with their quasi-definite axis bases, symmetric-matrix algebras, Matsuo
 algebras of 3-transposition sets, and the parametric two-generated algebra.
+
+H_n and H_n' are subalgebras of M_n^+: their products are formed by
+``multiply`` in M_n^+ on the flattened basis matrices.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algcore import Algebra, find_unit, make_algebra
+from .algcore import Algebra, find_unit, make_algebra, multiply
 from .axial import HALF
 from .errors import (
     BadProductOrder,
@@ -266,9 +269,13 @@ def _sym_names(n: int) -> tuple[list[tuple[int, int]], list[str]]:
     return index, names
 
 
-def _symmetrized_table(mats: Sequence[Matrix], coords_of) -> list[list[list[Fraction]]]:
-    """Structure constants of (ab + ba)/2 on the basis mats, read by coords_of."""
-    return [[coords_of(((a @ b) + (b @ a)).scale(HALF)) for b in mats] for a in mats]
+def _sym_table(n: int, basis: Sequence[Sequence[Fraction]],
+               coords_of) -> list[list[list[Fraction]]]:
+    """Structure constants on the flattened n x n matrices of basis: each product is
+    formed in M_n^+, from the table of ``_matrix_jordan_raw``, and read by coords_of."""
+    M = Algebra(n * n, *_matrix_jordan_raw(n))
+    elements = [M.element(b) for b in basis]
+    return [[coords_of(multiply(a, b).coords) for b in elements] for a in elements]
 
 
 def sym_jordan(n: int) -> Algebra:
@@ -280,31 +287,26 @@ def sym_jordan(n: int) -> Algebra:
     if n < 2:
         raise ValueError("n must be >= 2")
     index, names = _sym_names(n)
-
-    def as_matrix(k):
-        i, j = index[k]
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][j] += 1
-        if i != j:
-            m[j][i] += 1
-        return Matrix(m)
-
+    basis = []
+    for i, j in index:
+        m = [Fraction(0)] * (n * n)
+        m[i * n + j] = m[j * n + i] = Fraction(1)
+        basis.append(m)
+    structure = _sym_table(n, basis, lambda p: [p[i * n + j] for i, j in index])
     dim = len(index)
-    structure = _symmetrized_table([as_matrix(k) for k in range(dim)],
-                                   lambda m: [m[i, j] for i, j in index])
     return make_algebra(dim, names, structure, Matrix.identity(dim).entries()[:n])
 
 
-def _hn_prime_axes(n: int) -> list[Matrix]:
-    """The matrices a_ij = (e_i - e_j)(e_i - e_j)^T / 2 for i < j, in order."""
-    mats = []
+def _hn_prime_axes(n: int) -> list[list[Fraction]]:
+    """The flattened matrices a_ij = (e_i - e_j)(e_i - e_j)^T / 2 for i < j, in order."""
+    axes = []
     for i in range(n):
         for j in range(i + 1, n):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            m[i][i] = m[j][j] = HALF
-            m[i][j] = m[j][i] = -HALF
-            mats.append(Matrix(m))
-    return mats
+            m = [Fraction(0)] * (n * n)
+            m[i * n + i] = m[j * n + j] = HALF
+            m[i * n + j] = m[j * n + i] = -HALF
+            axes.append(m)
+    return axes
 
 
 def sym_jordan_prime(n: int) -> Algebra:
@@ -318,12 +320,12 @@ def sym_jordan_prime(n: int) -> Algebra:
     if n < 2:
         raise ValueError("n must be >= 2")
 
-    def coords_of(p: Matrix) -> list[Fraction]:
-        if any(sum(row) for row in p.entries()):
+    def coords_of(p: Sequence[Fraction]) -> list[Fraction]:
+        if any(sum(p[i * n:(i + 1) * n]) for i in range(n)):
             raise InvariantViolation("product left the zero-row-sum subspace")
-        return [-2 * p[i, j] for i in range(n) for j in range(i + 1, n)]
+        return [-2 * p[i * n + j] for i in range(n) for j in range(i + 1, n)]
 
-    structure = _symmetrized_table(_hn_prime_axes(n), coords_of)
+    structure = _sym_table(n, _hn_prime_axes(n), coords_of)
     dim = len(structure)
     names = [f"a{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
     return make_algebra(dim, names, structure, Matrix.identity(dim).entries())
@@ -422,11 +424,8 @@ def hn_prime_matsuo_isomorphism_check(
     if dh != dm or any(sorted((corr[k], c) for k, c in th[i][j]) != list(tm[corr[i]][corr[j]])
                        for i in range(dim) for j in range(dim)):
         return False
-    # trace Gram of H_n' vs the predicted Matsuo Gram
-    mats = _hn_prime_axes(n)
-    for i in range(dim):
-        for j in range(dim):
-            prod = mats[i] @ mats[j]
-            if sum(prod[k, k] for k in range(n)) != gram_m[corr[i], corr[j]]:
-                return False
-    return True
+    # trace Gram of H_n' vs the predicted Matsuo Gram; tr(xy) of symmetric x and y is
+    # the entrywise dot product
+    axes = _hn_prime_axes(n)
+    return all(sum(a * b for a, b in zip(axes[i], axes[j])) == gram_m[corr[i], corr[j]]
+               for i in range(dim) for j in range(dim))

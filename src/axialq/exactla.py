@@ -40,7 +40,7 @@ def vec(entries: Iterable) -> Vector:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals; ``apply`` is its only arithmetic."""
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -72,37 +72,14 @@ class Matrix:
         i, j = ij
         return self._e[i][j]
 
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._e)
-
     def entries(self) -> tuple[Vector, ...]:
         return self._e
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self._e == other._e
 
     def __hash__(self):
         return hash(self._e)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._e, other._e)])
-
-    def scale(self, c) -> "Matrix":
-        c = _frac(c)
-        return Matrix([[c * a for a in r] for r in self._e])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()._e
-        return Matrix([[sum(a * b for a, b in zip(r, c) if a and b) for c in ot]
-                       for r in self._e])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product."""
@@ -249,8 +226,7 @@ class SubspaceBasis:
         if self.is_zero() or other.is_zero():
             return SubspaceBasis.zero(self.ambient_dim)
         # columns: coefficients on self.vectors then on other.vectors
-        cols = [list(v) for v in self.vectors] + [[-a for a in v] for v in other.vectors]
-        stacked = Matrix(cols).transpose()
+        stacked = Matrix(list(zip(*self.vectors, *([-a for a in v] for v in other.vectors))))
         return SubspaceBasis(self.ambient_dim, [self.lift(k[:self.dim])
                                                 for k in kernel_basis(stacked).vectors])
 

@@ -394,7 +394,7 @@ def test_miyamoto_is_order_two_automorphism():
         for a in A.designated_axes:
             dec = eigendecompose(a)
             c = miyamoto(dec)
-            assert c @ c == Matrix.identity(A.dim)
+            assert all(c.apply(c.apply(e)) == e for e in Matrix.identity(A.dim).entries())
             # fixes the axis, negates the odd part
             assert c.apply(a.coords) == a.coords
             for v in dec.v_half.vectors:
@@ -437,7 +437,7 @@ def test_form_and_components_reject_elements_of_another_algebra():
 def _stacked_solve_components(dec, x):
     """Reference split: x's coordinates on v0, v_half and the axis, by one solve."""
     cols = list(dec.v0.vectors) + list(dec.v_half.vectors) + [dec.axis.coords]
-    coords, _ = solve(Matrix(cols).transpose(), x.coords)
+    coords, _ = solve(Matrix(list(zip(*cols))), x.coords)
     d0, dh = dec.v0.dim, dec.v_half.dim
     A = x.algebra
     return (A.element(dec.v0.lift(coords[:d0])),
@@ -469,7 +469,7 @@ def test_frobenius_constructions_agree(algebras):
 def test_form_is_symmetric_invariant_normalized(algebras):
     for info in algebras:
         g = info.g
-        assert g.gram == g.gram.transpose()
+        assert g.gram == Matrix(list(zip(*g.gram.entries())))
         assert g.is_invariant(), info.name
         for a in info.A.designated_axes:
             assert g.value(a, a) == 1
@@ -631,7 +631,17 @@ def test_is_invariant_matches_full_check(name, data):
 def test_gram_spin_matches_bilinear_form():
     info = by_name("spin_111")
     # form is 2*(identity) in the basis (1, v1, v2, v3)
-    assert info.g.gram == Matrix.identity(4).scale(2)
+    assert info.g.gram == Matrix([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+
+
+def test_gram_form_rejects_asymmetric_and_misshapen_matrices():
+    A = spin_factor([1, 1])
+    with pytest.raises(InvariantViolation):
+        GramForm(A, Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]]))
+    for rows in ([], [[2, 0], [0, 2]], [[2, 0, 0], [0, 2, 0]], [[2, 0], [0, 2], [0, 0]],
+                 [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]):
+        with pytest.raises(ValueError):
+            GramForm(A, Matrix(rows))
 
 
 def test_gram_matrix_jordan_is_trace_form():

@@ -829,12 +829,13 @@ _PINNED_CONSTRUCTIONS = {
     "b-1-4.json": ["twogen", "--alpha", "1/4"],
     "matsuo-s4.json": ["matsuo", "--sn", "4"],
     "h4p.json": ["hnprime", "--n", "4"],
+    "h4.json": ["hn", "--n", "4"],
     "m3.json": ["matrix", "--n", "3"],
     "spin-1-4-9.json": ["spin", "--diag", "1,4,9"],
 }
 _PINNED_COMMANDS = [["analyze"], ["frobenius"], ["radical"], ["capacity"], ["chain"],
                     ["unit", "--recursive"]]
-FINDINGS_SHA256 = "c4ee8c3bb04dcb8f5e1d5cc4cd327a410aa5f09dc447f6b35bf0bff502760896"
+FINDINGS_SHA256 = "57827a9da598f78dd242a208ad9444a3ef44436895a77f011d7fb6d08525cc64"
 
 
 def test_findings_are_byte_identical(tmp_path, monkeypatch):

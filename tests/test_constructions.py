@@ -26,7 +26,7 @@ from axialq.errors import (
 )
 from axialq.exactla import Matrix
 
-from conftest import by_name
+from conftest import by_name, source_grid
 
 F = Fraction
 HALF = F(1, 2)
@@ -162,6 +162,52 @@ def test_sym_jordan_prime_has_no_unit_entry_level():
     # H_3' is 3-dimensional and unital (it is the Matsuo algebra of S_3)
     A = sym_jordan_prime(3)
     assert find_unit(A) is not None
+
+
+def _dense_jordan(a, b):
+    """(ab + ba)/2 of square matrices given as lists of rows of Fractions."""
+    n = len(a)
+    return [[HALF * sum(a[i][k] * b[k][j] + b[i][k] * a[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def _dense_grid(basis, coords_of):
+    """Structure constants of (ab + ba)/2 on the basis matrices, each product read by
+    coords_of and checked to be the combination of the basis it names."""
+    grid = []
+    for a in basis:
+        plane = []
+        for b in basis:
+            p = _dense_jordan(a, b)
+            coords = coords_of(p)
+            assert [[sum(c * m[i][j] for c, m in zip(coords, basis)) for j in range(len(p))]
+                    for i in range(len(p))] == p
+            plane.append(tuple(coords))
+        grid.append(tuple(plane))
+    return tuple(grid)
+
+
+def _matrix(n, entries):
+    """The n x n matrix of Fractions with the given {(i, j): value} entries."""
+    return [[F(entries.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sym_jordan_tables_match_dense_products(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # H_n: e_ii, then e_ij + e_ji for i < j
+    index = [(i, i) for i in range(n)] + pairs
+    basis = [_matrix(n, {(i, j): 1, (j, i): 1}) for i, j in index]
+    assert source_grid(sym_jordan(n)) == _dense_grid(basis, lambda p: [p[i][j] for i, j in index])
+    # H_n': a_ij = (e_i - e_j)(e_i - e_j)^T / 2 for i < j
+    basis = [_matrix(n, {(i, i): HALF, (j, j): HALF, (i, j): -HALF, (j, i): -HALF})
+             for i, j in pairs]
+    grid = _dense_grid(basis, lambda p: [-2 * p[i][j] for i, j in pairs])
+    assert source_grid(sym_jordan_prime(n)) == grid
+    # the trace form of H_n' is the Gram matrix predicted for Matsuo(S_n)
+    _, gram = matsuo(sn_transpositions(n))
+    assert [[sum(_dense_jordan(a, b)[k][k] for k in range(n)) for b in basis]
+            for a in basis] == [list(r) for r in gram.entries()]
 
 
 # --- Matsuo algebras -------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_det_and_inverse():
     assert all(nullity == 0 for _, nullity in cols)
     inv = Matrix([[cols[j][0][i] for j in range(2)] for i in range(2)])
     assert inv == M([[1, -1], [-1, 2]])
-    assert m @ inv == M([[1, 0], [0, 1]])
+    assert [m.apply(x) for x, _ in cols] == [(F(1), F(0)), (F(0), F(1))]
     singular = M([[1, 2], [2, 4]])
     assert rref(singular).rank == 1
     assert solve(singular, [F(1), F(0)]) == (None, 1)
@@ -87,6 +87,28 @@ def test_subspace_sum_and_intersection():
     assert inter.dim == 1
     assert inter.contains([F(0), F(1), F(0)])
     assert e1.intersection(e23).dim == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_intersection_matches_dimension_formula(data):
+    """U and W spanned by small integer rows, W partly by combinations of U's rows so
+    that U and W often meet: dim(U n W) = dim U + dim W - dim(U + W), and U n W lies
+    in both."""
+    n = data.draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    row = st.lists(entry, min_size=n, max_size=n)
+    u_rows = data.draw(st.lists(row, max_size=n))
+    w_rows = data.draw(st.lists(row, max_size=n))
+    for _ in range(data.draw(st.integers(0, 3)) if u_rows else 0):
+        coeffs = data.draw(st.lists(entry, min_size=len(u_rows), max_size=len(u_rows)))
+        w_rows.append([sum(c * r[k] for c, r in zip(coeffs, u_rows)) for k in range(n)])
+    U, W = SubspaceBasis(n, u_rows), SubspaceBasis(n, w_rows)
+    meet = U.intersection(W)
+    assert meet.dim == U.dim + W.dim - SubspaceBasis(n, U.vectors + W.vectors).dim
+    for v in meet.vectors:
+        assert U.contains(v) and W.contains(v)
+    assert W.intersection(U) == meet
 
 
 def test_lift_and_coords_roundtrip():
@@ -191,7 +213,7 @@ def test_rref_and_kernel_match_sympy(sympy, m):
     ker = kernel_basis(m)
     assert ker.dim == len(s.nullspace())
     for v in ker.vectors:
-        assert (s * to_sympy(sympy, Matrix([v]).transpose())).is_zero_matrix
+        assert (s * to_sympy(sympy, Matrix([[a] for a in v]))).is_zero_matrix
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,14 +223,14 @@ def test_solve_matches_sympy(sympy, m, data):
     x0 = data.draw(st.lists(mixed, min_size=m.cols, max_size=m.cols))
     free = data.draw(st.lists(mixed, min_size=m.rows, max_size=m.rows))
     for rhs in (m.apply(x0), free):
-        b = to_sympy(sympy, Matrix([rhs]).transpose()) if m.rows \
+        b = to_sympy(sympy, Matrix([[a] for a in rhs])) if m.rows \
             else sympy.Matrix(0, 1, [])
         consistent = s.rank() == s.row_join(b).rank()
         x, nullity = solve(m, rhs)
         assert (x is not None) == consistent
         assert nullity == m.cols - s.rank()
         if x is not None:
-            xs = to_sympy(sympy, Matrix([x]).transpose()) if m.cols \
+            xs = to_sympy(sympy, Matrix([[a] for a in x])) if m.cols \
                 else sympy.Matrix(0, 1, [])
             assert s * xs == b
 
@@ -227,7 +249,7 @@ def test_coords_of_matches_solve(m, data):
     outside = data.draw(st.lists(mixed, min_size=n, max_size=n))
     for v in (inside, outside, [F(0)] * n):
         if s.dim:
-            expected = solve(Matrix(s.vectors).transpose(), v)[0]
+            expected = solve(Matrix(list(zip(*s.vectors))), v)[0]
         else:  # solve has no 0-column oracle here: only 0 lies in the zero subspace
             expected = None if any(v) else ()
         assert s.coords_of(v) == expected

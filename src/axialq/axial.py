@@ -14,10 +14,9 @@ one function; ``is_invariant`` evaluates them on G scaled once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algcore import Algebra, Element, _nonzero, _product, ideal_closure
 from .errors import (
@@ -53,8 +52,7 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class EigDecomposition:
+class EigDecomposition(NamedTuple):
     """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis in
     integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j]).
     sparse holds each eigenspace's basis vectors scaled to integers, as nonzero (i, x) lists."""
@@ -63,17 +61,20 @@ class EigDecomposition:
     v0: SubspaceBasis
     v_half: SubspaceBasis
     v1: SubspaceBasis
-    s: int = field(repr=False)
-    cols: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
-    sparse: tuple[tuple[list[tuple[int, int]], ...], ...] = field(repr=False)
+    s: int
+    cols: tuple[tuple[tuple[int, int], ...], ...]
+    sparse: tuple[tuple[list[tuple[int, int]], ...], ...]
 
     @property
     def semisimple(self) -> bool:
         return self.v0.dim + self.v_half.dim + self.v1.dim == self.axis.algebra.dim
 
+    def __repr__(self):  # s, cols and sparse are left out
+        return (f"EigDecomposition(axis={self.axis!r}, v0={self.v0!r}, "
+                f"v_half={self.v_half!r}, v1={self.v1!r})")
 
-@dataclass(frozen=True, slots=True)
-class AxisReport:
+
+class AxisReport(NamedTuple):
     is_idempotent: bool
     spectrum_ok: bool
     semisimple: bool
@@ -86,8 +87,7 @@ class AxisReport:
         return self.is_idempotent and self.semisimple and self.primitive
 
 
-@dataclass(frozen=True, slots=True)
-class FusionReport:
+class FusionReport(NamedTuple):
     """One boolean per fusion rule of a Jordan-type 1/2 axis."""
 
     zero_square: bool        # A0 * A0 in A0

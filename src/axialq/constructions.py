@@ -9,9 +9,8 @@ H_n and H_n' are subalgebras of M_n^+: their products are formed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algcore import Algebra, find_unit, make_algebra, multiply
 from .axial import HALF
@@ -22,7 +21,7 @@ from .errors import (
     InvariantViolation,
     NotInvolution,
 )
-from .exactla import Matrix, rref, vec
+from .exactla import Matrix, _integral, rref, vec
 
 __all__ = [
     "Permutation",
@@ -112,23 +111,26 @@ class Permutation:
         return f"Permutation{self.cycle_string()}"
 
 
-@dataclass(frozen=True)
-class MatsuoInput:
+class MatsuoInput(NamedTuple):
     """A set D of involutions with pairwise product orders in {1, 2, 3}."""
 
     degree: int
     involutions: tuple[Permutation, ...]
 
-    def validate(self) -> None:
+    def validate(self) -> dict[tuple[int, int], int]:
+        """Check D and return the order of c_i c_j for every i < j."""
         for p in self.involutions:
             if p.degree != self.degree:
                 raise ValueError("permutation degree mismatch")
             if p.order() != 2:
                 raise NotInvolution(f"{p!r} does not have order 2")
-        for i, c in enumerate(self.involutions):
-            for d in self.involutions[i + 1:]:
-                if (c * d).order() > 3:
-                    raise BadProductOrder(f"|{c!r} {d!r}| > 3")
+        D, orders = self.involutions, {}
+        for i, c in enumerate(D):
+            for j in range(i + 1, len(D)):
+                orders[i, j] = order = (c * D[j]).order()
+                if order > 3:
+                    raise BadProductOrder(f"|{c!r} {D[j]!r}| > 3")
+        return orders
 
 
 def _is_square(q: Fraction) -> Optional[Fraction]:
@@ -154,20 +156,11 @@ def spin_factor(diag: Sequence) -> Algebra:
     n = len(d)
     dim = n + 1
     zero = [Fraction(0)] * dim
-
-    def unitv(k):
-        v = list(zero)
-        v[k] = Fraction(1)
-        return v
-
-    structure = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-    structure[0][0] = unitv(0)
-    for i in range(1, dim):
-        structure[0][i] = unitv(i)
-        structure[i][0] = unitv(i)
-        row = list(zero)
-        row[0] = d[i - 1]
-        structure[i][i] = row
+    structure = [[zero] * dim for _ in range(dim)]
+    for i, unit in enumerate(Matrix.identity(dim).entries()):
+        structure[0][i] = structure[i][0] = unit  # 1 v_i = v_i
+        if i:
+            structure[i][i] = [d[i - 1]] + zero[1:]  # v_i v_i = f(v_i, v_i) 1
     names = ["1"] + [f"v{i}" for i in range(1, dim)]
     axes = []
     for i in range(1, dim):
@@ -244,21 +237,18 @@ def matrix_jordan(n: int) -> Algebra:
     pairs = _qd_basis_pairs(n)
     if len(pairs) != n * n:
         raise InvariantViolation("wrong quasi-definite basis size")
-    axes = []
-    for l, r in pairs:
-        if sum(a * b for a, b in zip(l, r)) != 1:
-            raise InvariantViolation("rank-1 factor pair is not normalized")
-        coords = [l[i] * r[j] for i in range(n) for j in range(n)]
-        axes.append(coords)
+    # l = L / p and r = R / q with L and R integral: <l, r> = <L, R> / (p q)
+    scaled = [(*_integral(l), *_integral(r)) for l, r in pairs]
+    if any(sum(a * b for a, b in zip(L, R)) != p * q for p, L, q, R in scaled):
+        raise InvariantViolation("rank-1 factor pair is not normalized")
+    axes = [[l[i] * r[j] for i in range(n) for j in range(n)] for l, r in pairs]
     if rref(Matrix(axes)).rank != n * n:
         raise InvariantViolation("quasi-definite basis is not linearly independent")
     # pairwise trace-form values: tr(l1^T r1 l2^T r2) = <r1, l2><r2, l1>
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            l1, r1 = pairs[i]
-            l2, r2 = pairs[j]
-            val = sum(a * b for a, b in zip(r1, l2)) * sum(a * b for a, b in zip(r2, l1))
-            if val == 1:
+    for i, (p1, L1, q1, R1) in enumerate(scaled):
+        for p2, L2, q2, R2 in scaled[i + 1:]:
+            val = sum(a * b for a, b in zip(R1, L2)) * sum(a * b for a, b in zip(R2, L1))
+            if val == p1 * q1 * p2 * q2:
                 raise InvariantViolation("quasi-definite basis has a pair of form value 1")
     return make_algebra(n * n, names, structure, axes)
 
@@ -338,7 +328,7 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
     (c + d - c^d)/4 when |cd| = 3, with c^d = d c d: the Matsuo algebra
     of Jordan type 1/2, whose form value on such a pair is 1/4.
     """
-    inp.validate()
+    orders = inp.validate()
     D = list(inp.involutions)
     dim = len(D)
     pos = {p: k for k, p in enumerate(D)}
@@ -351,7 +341,7 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
         gram[i][i] = Fraction(1)
         for j in range(i + 1, dim):
             d = D[j]
-            order = (c * d).order()
+            order = orders[i, j]
             row = list(zero)
             if order == 2:
                 pass  # product 0, form 0

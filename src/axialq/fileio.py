@@ -9,11 +9,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .algcore import Algebra, make_algebra, multiply
+from .algcore import Algebra, make_algebra
 from .errors import ParseError
 
 __all__ = [
@@ -60,8 +59,7 @@ def _vectors(value, dim: int, what: str, memo: dict) -> list[list[Fraction]]:
     return [_vector(v, dim, what, memo) for v in value]
 
 
-@dataclass
-class AlgebraFile:
+class AlgebraFile(NamedTuple):
     """On-disk form of an algebra: name, table, axes, optional generators."""
 
     name: str
@@ -74,14 +72,17 @@ class AlgebraFile:
 
     def to_dict(self) -> dict:
         A, n = self.algebra, self.algebra.dim
-        basis = A.basis_elements()  # e_j e_i = e_i e_j: each product is formed once
-        cells = {(i, j): [format_rational(c) for c in multiply(basis[i], basis[j]).coords]
-                 for i in range(n) for j in range(i, n)}
+        d, table = A.table  # cell (i, j) is e_i e_j: T[i][j] lists its nonzero d c[i][j][k]
+        cells = [[["0"] * n for _ in range(n)] for _ in range(n)]
+        for row, out_row in zip(table, cells):
+            for entries, cell in zip(row, out_row):
+                for k, c in entries:
+                    cell[k] = format_rational(Fraction(c, d))
         out = {
             "name": self.name,
             "dimension": n,
             "basis": list(A.basis_names),
-            "table": [[list(cells[min(i, j), max(i, j)]) for j in range(n)] for i in range(n)],
+            "table": cells,
             "axes": [[format_rational(c) for c in a.coords] for a in A.designated_axes],
         }
         if self.generators is not None:
@@ -131,15 +132,22 @@ class AlgebraFile:
         return cls.from_dict(d)
 
 
-@dataclass
 class Report:
     """Structured result of one CLI command."""
 
-    command: str
-    inputs: dict = field(default_factory=dict)
-    findings: dict = field(default_factory=dict)
-    status: str = "pass"      # pass | fail | error
-    message: str = ""
+    def __init__(self, command: str, inputs: Optional[dict] = None,
+                 findings: Optional[dict] = None, status: str = "pass", message: str = ""):
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.findings = {} if findings is None else findings
+        self.status = status      # pass | fail | error
+        self.message = message
+
+    def __eq__(self, other):
+        return type(other) is Report and vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"Report({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def to_json(self) -> str:
         return json.dumps({

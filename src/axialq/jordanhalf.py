@@ -7,9 +7,8 @@ and the capacity decomposition of the unit into pairwise orthogonal axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algcore import (
     Algebra,
@@ -62,8 +61,7 @@ __all__ = [
     "orthogonality_propagation_check",
 ]
 
-@dataclass(frozen=True)
-class PairDecomposition:
+class PairDecomposition(NamedTuple):
     """b split along the Peirce decomposition of the axis a."""
 
     a: Element
@@ -110,23 +108,40 @@ def x_of(a: Element, b: Element, g: GramForm) -> Element:
     return x
 
 
-@dataclass(frozen=True)
 class PairIdentityReport:
-    """Exact checks of the two-generated identities for an axis pair."""
+    """Exact checks of the two-generated identities for an axis pair, alpha = (a, b).
 
-    alpha: Fraction
-    vacuous: bool                    # a == b: the x-construction is undefined
-    product_contractions: bool       # (ab)b, (ab)a, (ab)(ab) formulas
-    zero_component_square: bool      # a0^2 = (1 - alpha) a0
-    half_component_square: bool      # a1/2^2 = alpha a0 + (alpha - alpha^2) a
-    mixed_component_product: bool    # a0 a1/2 = ((1 - alpha)/2) a1/2
-    x_idempotent: bool
-    x_norm_one: bool
-    pair_unit: bool                  # a + x_a(b) is a unit of <a, b>
-    zero_product_zero_form: bool     # ab = 0  =>  (a, b) = 0 (the converse
-                                     # needs quasi-definiteness of the whole
-                                     # algebra, which a single pair cannot see)
-    a0_meets_bhalf_trivially: bool   # A_0(a) n A_1/2(b) = 0 when alpha not in {0, 1}
+    vacuous: a == b, where the x-construction is undefined.  product_contractions: the
+    (ab)b, (ab)a and (ab)(ab) formulas.  zero_component_square: a0^2 = (1 - alpha) a0.
+    half_component_square: a1/2^2 = alpha a0 + (alpha - alpha^2) a.  mixed_component_product:
+    a0 a1/2 = ((1 - alpha)/2) a1/2.  pair_unit: a + x_a(b) is a unit of <a, b>.
+    zero_product_zero_form: ab = 0 implies (a, b) = 0; the converse needs quasi-definiteness
+    of the whole algebra, which a single pair cannot see.  a0_meets_bhalf_trivially:
+    A_0(a) n A_1/2(b) = 0 when alpha is not 0 or 1.  Immutable, equal and hashable by its
+    fields, which ``vars`` lists in this order.
+    """
+
+    def __init__(self, alpha: Fraction, vacuous: bool, product_contractions: bool,
+                 zero_component_square: bool, half_component_square: bool,
+                 mixed_component_product: bool, x_idempotent: bool, x_norm_one: bool,
+                 pair_unit: bool, zero_product_zero_form: bool, a0_meets_bhalf_trivially: bool):
+        # the arguments but self, always in this order, so that the values stay inline
+        for name, value in tuple(locals().items())[1:]:
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"PairIdentityReport is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is PairIdentityReport and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"PairIdentityReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def all_ok(self) -> bool:
@@ -181,8 +196,7 @@ def pair_identity_suite(a: Element, b: Element, g: GramForm) -> PairIdentityRepo
     )
 
 
-@dataclass(frozen=True)
-class TripleFormResult:
+class TripleFormResult(NamedTuple):
     lhs: Fraction
     rhs: Fraction
 
@@ -343,8 +357,7 @@ def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Elemen
     return e
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     """Decomposition of the unit into pairwise orthogonal primitive axes."""
 
     summands: tuple[Element, ...]
@@ -401,14 +414,12 @@ def capacity_decomposition(A: Algebra, G: Sequence[Element], e: Element,
     return CapacityResult(summands=tuple(summands), pivot_trace=tuple(trace))
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     subspace: SubspaceBasis
     special_axis: Optional[Element]
 
 
-@dataclass(frozen=True)
-class SpecialChain:
+class SpecialChain(NamedTuple):
     """Descending chain of special subalgebras traversed by the capacity run."""
 
     links: tuple[ChainLink, ...]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axialq import fileio
-from axialq.algcore import restrict_to_subspace
+from axialq.algcore import make_algebra, multiply, restrict_to_subspace
 from axialq.axial import eigendecompose, frobenius_solve
 from axialq.cli import MAX_WORD_DEPTH, _build_parser, gram_for, main, parse_word, run_command
 from axialq.constructions import matsuo, sn_transpositions
@@ -64,6 +64,46 @@ def test_algebra_file_roundtrip():
         # a second round trip is byte-identical
         assert AlgebraFile.from_algebra("x", B).to_json() == text
     assert json.loads(text) == empty | {"name": "x"}
+
+
+def _written_table(A) -> list:
+    """Cell (i, j) as the writer once formed it: ``multiply`` of basis elements i and j,
+    then ``format_rational`` of each coordinate."""
+    basis = A.basis_elements()
+    return [[[format_rational(c) for c in multiply(x, y).coords] for y in basis] for x in basis]
+
+
+def test_writer_reads_the_products_off_the_table():
+    m3 = by_name("m3").A
+    algebras = [info.A for info in registry()]
+    algebras.append(restrict_to_subspace(m3, eigendecompose(m3.designated_axes[0]).v0)[0])
+    for A in algebras:
+        assert AlgebraFile.from_algebra("x", A).to_dict()["table"] == _written_table(A)
+
+
+# zero, small denominators, and the denominators 5, 7, 25 and 35 mixed in one table
+_COEFF = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                   st.builds(F, st.integers(-9, 9), st.sampled_from([5, 7, 25, 35])))
+
+
+@st.composite
+def _commutative_tables(draw):
+    n = draw(st.integers(1, 4))
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = draw(st.lists(_COEFF, min_size=n, max_size=n))
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(_commutative_tables())
+def test_writer_matches_products_on_random_tables(table):
+    n = len(table)
+    A = make_algebra(n, [f"e{i}" for i in range(n)], table)
+    cells = AlgebraFile.from_algebra("t", A).to_dict()["table"]
+    assert cells == _written_table(A)
+    assert cells == [[[format_rational(c) for c in cell] for cell in row] for row in table]
 
 
 def test_algebra_file_rejects_asymmetric_table():
@@ -855,3 +895,27 @@ def test_findings_are_byte_identical(tmp_path, monkeypatch):
                 code = main([command[0], name, *command[1:]])
             digest.update(f"{code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == FINDINGS_SHA256
+
+
+# sha256 of the bytes that ``construct ... --out`` writes, the indent=2 layout included
+ALGEBRA_FILE_SHA256 = {
+    "b-1-4.json": "1822b615a04c70d6ce5ba6817d063eb8b5080216952be1eaee2a394fa35662bd",
+    "matsuo-s4.json": "68fbcc762ee30bc0479b4b9883c9f17775476a7c6dfe5e0d3268964e0bb05be4",
+    "h4p.json": "7dddf4d8383c56e8f51719a428bae62c1e620b1db2a4cd9be10ca01cc1a4d57a",
+    "h4.json": "0f8d825893ee3d5443024b04f5a523f524f9b83caf3b42e0a4753c56b8519cbc",
+    "m3.json": "818bc69429cc88040767775ff422aebb812087263b11bffaed87bddfc37150ee",
+    "spin-1-4-9.json": "e3acf1aa8f4c78f664eed0f66517c8a5d24e493445bc85b3da7e188ab43bc029",
+    "m4.json": "781d9aef82142d56ed79e4cb37fb8b1246471dd3f81f3fb3a28a35f782565d66",
+    "matsuo-s6.json": "67efb47fd77333b7fc367025c293799ae5af51e9e27cf6f753a7c94bc447f170",
+}
+
+
+def test_algebra_files_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    constructions = {**_PINNED_CONSTRUCTIONS, "m4.json": ["matrix", "--n", "4"],
+                     "matsuo-s6.json": ["matsuo", "--sn", "6"]}
+    digests = {}
+    for name, argv in constructions.items():
+        assert run_command(["construct", *argv, "--out", name])[1] == 0, argv
+        digests[name] = hashlib.sha256(Path(name).read_bytes()).hexdigest()
+    assert digests == ALGEBRA_FILE_SHA256

@@ -24,7 +24,6 @@ from .axial import (
     frobenius_solve,
     miyamoto,
     peirce_components,
-    positive_definite_check,
     primitive_decomposition,
     quasi_definite_basis_check,
     radical,
@@ -37,7 +36,6 @@ from .jordanhalf import (
     a0_axis_basis,
     build_unit,
     capacity_decomposition,
-    orthogonality_propagation_check,
     pair_decompose,
     pair_identity_suite,
     special_chain,

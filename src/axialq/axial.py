@@ -45,7 +45,6 @@ __all__ = [
     "frobenius_solve",
     "radical",
     "quasi_definite_basis_check",
-    "positive_definite_check",
     "peirce_components",
 ]
 
@@ -392,23 +391,3 @@ def quasi_definite_basis_check(
             if val == 1:
                 return False, (X[i], X[j], val)
     return True, None
-
-
-def positive_definite_check(g: GramForm) -> bool:
-    """Exact positive-definiteness of the form, by Sylvester's criterion.
-
-    Symmetric elimination without row swaps: while the earlier pivots are
-    positive, the k-th pivot is the ratio of the k-th to the (k-1)-th
-    leading principal minor, so all pivots are positive exactly when all
-    those minors are, which decides definiteness of a symmetric matrix.
-    """
-    rows = [list(r) for r in g.gram.entries()]
-    for c, prow in enumerate(rows):
-        p = prow[c]
-        if p <= 0:
-            return False
-        for i in range(c + 1, len(rows)):
-            f = rows[i][c] / p
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-    return True

@@ -33,7 +33,6 @@ __all__ = [
     "matsuo",
     "sn_transpositions",
     "two_gen_algebra",
-    "hn_prime_matsuo_isomorphism_check",
 ]
 
 
@@ -393,29 +392,3 @@ def two_gen_algebra(alpha) -> Algebra:
     elif unit is not None:
         raise InvariantViolation("alpha = 1 should give a non-unital algebra")
     return A
-
-
-def hn_prime_matsuo_isomorphism_check(
-    n: int, correspondence: Optional[Sequence[int]] = None
-) -> bool:
-    """Check a_ij -> (i j) transports H_n' exactly onto the Matsuo algebra of S_n.
-
-    ``correspondence`` maps H_n' basis positions to Matsuo basis positions
-    (identity by default; a wrong permutation is a negative control).
-    Verifies the integer structure tables and the Gram matrices entrywise.
-    """
-    H = sym_jordan_prime(n)
-    M, gram_m = matsuo(sn_transpositions(n))
-    dim = H.dim
-    corr = list(correspondence) if correspondence is not None else list(range(dim))
-    if sorted(corr) != list(range(dim)):
-        raise ValueError("correspondence is not a permutation")
-    (dh, th), (dm, tm) = H.table, M.table
-    if dh != dm or any(sorted((corr[k], c) for k, c in th[i][j]) != list(tm[corr[i]][corr[j]])
-                       for i in range(dim) for j in range(dim)):
-        return False
-    # trace Gram of H_n' vs the predicted Matsuo Gram; tr(xy) of symmetric x and y is
-    # the entrywise dot product
-    axes = _hn_prime_axes(n)
-    return all(sum(a * b for a, b in zip(axes[i], axes[j])) == gram_m[corr[i], corr[j]]
-               for i in range(dim) for j in range(dim))

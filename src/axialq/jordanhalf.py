@@ -58,7 +58,6 @@ __all__ = [
     "build_unit",
     "capacity_decomposition",
     "special_chain",
-    "orthogonality_propagation_check",
 ]
 
 class PairDecomposition(NamedTuple):
@@ -444,19 +443,3 @@ def special_chain(A: Algebra, G: Sequence[Element], g: GramForm) -> SpecialChain
         raise InvariantViolation("special chain did not terminate at the zero subspace")
     links.append(ChainLink(subspace=current, special_axis=None))
     return SpecialChain(links=tuple(links))
-
-
-def orthogonality_propagation_check(q: Element, a: Element, b: Element,
-                                    g: GramForm) -> bool:
-    """If qa = 0 and q x_a(b) = 0 then qb = 0.
-
-    Returns True when the hypothesis held (the conclusion is then asserted
-    exactly) and False for a vacuous pass.
-    """
-    primitive_decomposition(q)
-    x = x_of(a, b, g)
-    if multiply(q, a).is_zero() and multiply(q, x).is_zero():
-        if not multiply(q, b).is_zero():
-            raise InvariantViolation("orthogonality did not propagate to b")
-        return True
-    return False

@@ -189,6 +189,28 @@ def direct_sum(A: Algebra, B: Algebra) -> Algebra:
     return make_algebra(n, [f"e{i}" for i in range(n)], table, embed)
 
 
+def isomorphic_by(A: Algebra, B: Algebra, perm) -> bool:
+    """Whether e_i -> e_perm[i] carries A onto B: every structure constant c[i][j][k] of A
+    is B's c[perm i][perm j][perm k], and A's designated axes go onto B's."""
+    n = A.dim
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm is not a permutation of A's basis")
+    if B.dim != n:
+        return False
+    a, b = source_grid(A), source_grid(B)
+    if any(a[i][j][k] != b[perm[i]][perm[j]][perm[k]]
+           for i, j, k in itertools.product(range(n), repeat=3)):
+        return False
+
+    def image(x: Element) -> tuple:
+        y = [Fraction(0)] * n
+        for i, c in enumerate(x.coords):
+            y[perm[i]] = c
+        return tuple(y)
+
+    return sorted(map(image, A.designated_axes)) == sorted(x.coords for x in B.designated_axes)
+
+
 def fusion_break() -> Algebra:
     """Basis e, u, w with e e = e, e u = u/2, u u = u and every other product 0.
 

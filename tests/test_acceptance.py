@@ -31,18 +31,18 @@ from axialq import (
 )
 from axialq.cli import run_command
 from axialq.constructions import (
-    hn_prime_matsuo_isomorphism_check,
     matrix_jordan,
     matsuo,
     sn_transpositions,
     spin_factor,
+    sym_jordan_prime,
 )
 from axialq.errors import AxialError
 from axialq.exactla import Matrix, SubspaceBasis, rref
 from axialq.fileio import AlgebraFile
 from axialq.jordanhalf import _restricted_gram
 
-from conftest import by_name, circle_axes, axis_pairs, random_element, registry
+from conftest import by_name, circle_axes, axis_pairs, isomorphic_by, random_element, registry
 
 F = Fraction
 HALF = F(1, 2)
@@ -262,9 +262,12 @@ def test_criterion_07_radical_behavior():
 
 
 def test_criterion_08_isomorphism():
-    assert hn_prime_matsuo_isomorphism_check(3)
-    assert hn_prime_matsuo_isomorphism_check(4)
-    assert hn_prime_matsuo_isomorphism_check(5)
+    """a_ij -> (i j) carries H_n' onto Matsuo(S_n); swapping the first two basis vectors
+    does so only at n = 3, where every basis permutation is an automorphism."""
+    for n in (3, 4, 5):
+        H, (M, _) = sym_jordan_prime(n), matsuo(sn_transpositions(n))
+        assert isomorphic_by(H, M, range(H.dim)), n
+        assert isomorphic_by(H, M, [1, 0, *range(2, H.dim)]) == (n == 3), n
 
 
 def test_criterion_09_property_suite_integrity():

@@ -21,7 +21,6 @@ from axialq import (
     miyamoto,
     multiply,
     peirce_components,
-    positive_definite_check,
     quasi_definite_basis_check,
     radical,
 )
@@ -29,6 +28,7 @@ from axialq.errors import (
     AlgebraMismatch,
     Inconsistent,
     InvariantViolation,
+    NotBasisOfAxes,
     NotIdempotent,
     NotPrimitiveAxis,
     NotSpanning,
@@ -699,71 +699,28 @@ def test_quasi_definite_basis_check():
     assert witness2 is not None and witness2[2] == 1
 
 
-def _form_on_zero_algebra(rows):
-    """The symmetric matrix as a form on the n-dimensional zero algebra, where
-    every form is invariant."""
-    n = len(rows)
-    zero = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    return GramForm(make_algebra(n, [f"z{i}" for i in range(n)], zero), Matrix(rows))
-
-
-def test_positive_definite_check():
-    assert positive_definite_check(by_name("h3").g)
-    assert positive_definite_check(by_name("matsuo_s4").g)
-    assert not positive_definite_check(by_name("twogen_0").g)
-    assert positive_definite_check(_form_on_zero_algebra([[2, 1], [1, 1]]))
-    assert not positive_definite_check(_form_on_zero_algebra([[1, 2], [2, 4]]))
-    # leading minors 1, 0, -1: the second pivot is 0
-    assert not positive_definite_check(_form_on_zero_algebra([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
-
-
-_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
-
-
-def _square(n):
-    return st.lists(st.lists(_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
-
-
-def _gram_of(b):
-    """B^T B for the square matrix B given by its rows."""
-    n = len(b)
-    return [[sum((b[k][i] * b[k][j] for k in range(n)), F(0)) for j in range(n)]
-            for i in range(n)]
-
-
-@st.composite
-def _symmetric_rows(draw, max_n=5):
-    """Symmetric matrices: B^T B + c I (often definite) or a random symmetric one."""
-    n = draw(st.integers(1, max_n))
-    b = draw(_square(n))
-    if draw(st.booleans()):
-        c = draw(st.sampled_from([F(0), F(1, 3), F(-1, 2)]))
-        return [[g + (c if i == j else 0) for j, g in enumerate(row)]
-                for i, row in enumerate(_gram_of(b))]
-    return [[b[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_symmetric_rows())
-def test_positive_definite_check_matches_sympy(rows):
-    sympy = pytest.importorskip("sympy")
-    s = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in r] for r in rows])
-    assert positive_definite_check(_form_on_zero_algebra(rows)) == s.is_positive_definite
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(_square))
-def test_positive_definite_iff_gram_of_nonsingular(b):
-    """B^T B is positive definite exactly when B has full rank."""
-    full_rank = rref(Matrix(b)).rank == len(b)
-    assert positive_definite_check(_form_on_zero_algebra(_gram_of(b))) == full_rank
+def test_quasi_definite_basis_check_rejects_non_bases():
+    info = by_name("twogen_0")
+    a, b = info.A.designated_axes
+    s = info.A.basis_element(2)  # s s = -s/2 in B(0): not an idempotent
+    for X, message in (([], "empty axis list"),
+                       ([a, b, a], "axes are linearly dependent"),
+                       ([a, s], f"{s!r} is not an axis")):
+        with pytest.raises(NotBasisOfAxes) as exc:
+            quasi_definite_basis_check(X, info.g)
+        assert str(exc.value) == message
 
 
 def test_positive_definite_forms_are_quasi_definite(algebras):
-    """(a - b, a - b) = 2 - 2(a, b) > 0 for distinct normalized axes of a definite form."""
+    """(a - b, a - b) = 2 - 2(a, b) > 0 for distinct normalized axes of a definite form.
+
+    sympy decides definiteness."""
+    sympy = pytest.importorskip("sympy")
     definite = 0
     for info in algebras:
-        if not positive_definite_check(info.g):
+        gram = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                             for row in info.g.gram.entries()])
+        if not gram.is_positive_definite:
             continue
         definite += 1
         for a, b in itertools.combinations(info.A.designated_axes, 2):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -575,6 +576,19 @@ def test_unit_without_recursion_reports_a_missing_unit(tmp_path):
     assert report.findings == {"unit": None}
 
 
+def test_recursive_unit_rejects_dependent_axes(tmp_path):
+    # Q x Q with the axis p designated twice: the unit is found, the axis basis is rejected
+    path = tmp_path / "qxq-pp.json"
+    path.write_text(json.dumps({
+        "name": "QxQ", "dimension": 2, "basis": ["p", "q"],
+        "table": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+        "axes": [["1", "0"], ["1", "0"]]}))
+    report, code = run_command(["unit", str(path), "--recursive"])
+    assert code == 2 and report.status == "error"
+    assert report.message == "NotBasisOfAxes: axes are linearly dependent"
+    assert report.findings["unit"] == ["1", "1"]
+
+
 def test_exit_code_error_on_undersized_recursive_unit(tmp_path):
     # two axes cannot be a basis of the 3-dimensional algebra
     report, code = run_command(["unit", _write_b1(tmp_path), "--recursive"])
@@ -589,6 +603,22 @@ def test_construct_error_keeps_name_and_dimension(tmp_path):
     assert code == 2 and report.status == "error"
     assert report.findings == {"name": "spin(1,1)", "dimension": 3}
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("out, errno_", [("missing/s3.json", errno.ENOENT),  # no such directory
+                                          ("outdir", errno.EISDIR)])
+def test_failed_write_names_the_out_path(tmp_path, monkeypatch, out, errno_):
+    """The message names --out as given, never the temporary file, and none is left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    messages = []
+    for _ in range(2):
+        report, code = run_command(["construct", "matsuo", "--sn", "3", "--out", out])
+        assert code == 2 and report.status == "error"
+        messages.append(report.message)
+    assert messages == [f"[Errno {errno_}] {os.strerror(errno_)}: {out!r}"] * 2
+    assert ".axialq-" not in messages[0]
+    assert list(tmp_path.rglob(".axialq-*")) == []
 
 
 @pytest.mark.parametrize("sn", ["1", "0", "-1"])

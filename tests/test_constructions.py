@@ -1,5 +1,5 @@
 """Example-algebra factories: spin factors, matrix Jordan algebras, symmetric
-matrices, Matsuo algebras, the two-generated family, and the isomorphism check."""
+matrices, Matsuo algebras, the two-generated family, and H_n' = Matsuo(S_n)."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from axialq import check_axis, find_unit, frobenius_solve, jordan_identity_check
 from axialq.constructions import (
     MatsuoInput,
     Permutation,
-    hn_prime_matsuo_isomorphism_check,
     matrix_jordan,
     matsuo,
     sn_transpositions,
@@ -26,7 +25,7 @@ from axialq.errors import (
 )
 from axialq.exactla import Matrix
 
-from conftest import by_name, source_grid
+from conftest import by_name, isomorphic_by, source_grid
 
 F = Fraction
 HALF = F(1, 2)
@@ -268,26 +267,33 @@ def test_two_gen_half_unit():
     assert find_unit(A) == -4 * s
 
 
-# --- Jordan identity and the isomorphism check -----------------------------------
+# --- Jordan identity and H_n' = Matsuo(S_n) -------------------------------------
 
 def test_all_factories_are_jordan(algebras):
     for info in algebras:
         assert jordan_identity_check(info.A), info.name
 
 
+def _hn_prime_onto_matsuo(n, perm=None):
+    """Whether a_ij -> (i j), or the basis permutation perm, carries H_n' onto Matsuo(S_n)."""
+    H = sym_jordan_prime(n)
+    M, _ = matsuo(sn_transpositions(n))
+    return isomorphic_by(H, M, range(H.dim) if perm is None else perm)
+
+
 def test_hn_prime_matsuo_isomorphism():
-    assert hn_prime_matsuo_isomorphism_check(3)
-    assert hn_prime_matsuo_isomorphism_check(4)
-    assert hn_prime_matsuo_isomorphism_check(7)
+    assert _hn_prime_onto_matsuo(3)
+    assert _hn_prime_onto_matsuo(4)
+    assert _hn_prime_onto_matsuo(7)
 
 
 def test_hn_prime_matsuo_negative_control():
     # at n = 3 every basis permutation is an automorphism (the product is
     # fully symmetric), so the negative control needs n = 4
-    assert hn_prime_matsuo_isomorphism_check(3, [1, 0, 2])
-    assert not hn_prime_matsuo_isomorphism_check(4, [1, 0, 2, 3, 4, 5])
+    assert _hn_prime_onto_matsuo(3, [1, 0, 2])
+    assert not _hn_prime_onto_matsuo(4, [1, 0, 2, 3, 4, 5])
 
 
 def test_isomorphism_check_rejects_bad_correspondence():
     with pytest.raises(ValueError):
-        hn_prime_matsuo_isomorphism_check(3, [0, 0, 1])
+        _hn_prime_onto_matsuo(3, [0, 0, 1])

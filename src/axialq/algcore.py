@@ -4,16 +4,21 @@ An algebra is a dimension, a named basis, and exact rational structure constants
 c[i][j][k], kept once as the integer table (d, T) that every product reads: basis
 elements i and j multiply to c[i][j][k] on basis element k.  A list of designated
 axes (idempotents of interest) may ride along.
+
+An ``Element`` is the integer vector ``num`` over the integer ``den`` > 0, gcd(den, *num) = 1,
+so equal elements have equal (num, den); arithmetic runs on that pair, and ``coords``, the
+``Fraction`` vector num / den for reports and files, is built on first read and kept.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, CommutativityViolation, InvariantViolation, NotIdempotent
-from .exactla import Matrix, SubspaceBasis, _integral, solve, vec
+from .exactla import Matrix, SubspaceBasis, _frac, _integral, solve
 
 __all__ = [
     "Algebra",
@@ -42,7 +47,7 @@ class Algebra:
         d, flat = _integral([c for plane in structure for row in plane for c in row])
         self.table = d, tuple(tuple(tuple(_nonzero(flat[(i * n + j) * n:(i * n + j + 1) * n]))
                                     for j in range(n)) for i in range(n))
-        # axis coordinates -> Peirce decomposition, built by axial.eigendecompose
+        # an axis's (num, den) -> its Peirce decomposition, built by axial.eigendecompose
         self.decompositions = {}
         self.designated_axes: tuple[Element, ...] = ()
 
@@ -50,12 +55,12 @@ class Algebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> "Element":
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return Element(self, coords)
+        num = [0] * self.dim
+        num[i] = 1
+        return _element(self, num, 1)
 
     def zero(self) -> "Element":
-        return Element(self, [Fraction(0)] * self.dim)
+        return _element(self, [0] * self.dim, 1)
 
     def basis_elements(self) -> list["Element"]:
         return [self.basis_element(i) for i in range(self.dim)]
@@ -65,62 +70,81 @@ class Algebra:
 
 
 class Element:
-    """Element of an algebra: an exact coordinate vector in its basis."""
+    """Element of an algebra: num / den in lowest terms, as ``_integral``'s lcm scaling gives."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "num", "den", "_coords")
 
     def __init__(self, algebra: Algebra, coords):
-        self.algebra = algebra
-        self.coords = vec(coords)
-        if len(self.coords) != algebra.dim:
+        self.den, num = _integral(tuple(coords))
+        if len(num) != algebra.dim:
             raise ValueError("coordinate length != algebra dimension")
+        self.algebra, self.num = algebra, tuple(num)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The exact coordinate vector num / den, built on first read."""
+        if not hasattr(self, "_coords"):
+            self._coords = tuple(Fraction(a, self.den) for a in self.num)
+        return self._coords
 
     def _same(self, other: "Element"):
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("elements live in different algebras")
 
-    def __add__(self, other: "Element") -> "Element":
+    def _combine(self, other: "Element", sign: int) -> "Element":
         self._same(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return _element(self.algebra, [p * a + q * b for a, b in zip(self.num, other.num)], den)
+
+    def __add__(self, other: "Element") -> "Element":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, [-a for a in self.coords])
+        return _element(self.algebra, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __truediv__(self, c):
-        return self.scale(Fraction(1) / Fraction(c))
+        return self.scale(1 / _frac(c))
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
-        return Element(self.algebra, [c * a for a in self.coords])
+        """c times self; c is an int, a Fraction or a string, never a float."""
+        c = _frac(c)
+        return _element(self.algebra, [c.numerator * a for a in self.num],
+                        c.denominator * self.den)
+
+    __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.num)
 
     def is_idempotent(self) -> bool:
         return multiply(self, self) == self
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and self.algebra is other.algebra
-                and self.coords == other.coords)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coords))
+        return hash((id(self.algebra), self.num, self.den))
 
     def __repr__(self):
         terms = [f"{c}*{n}" for c, n in zip(self.coords, self.algebra.basis_names) if c != 0]
         return " + ".join(terms) if terms else "0"
+
+
+def _element(algebra: Algebra, num, den: int) -> Element:
+    """The element num / den of the algebra, for integers num and den > 0, in lowest terms."""
+    g, e = gcd(den, *num), Element.__new__(Element)
+    e.algebra, e.num, e.den = algebra, tuple(a // g for a in num) if g > 1 else tuple(num), den // g
+    return e
 
 
 class Word:
@@ -197,33 +221,25 @@ def _product(table, u, w) -> list:
     return p
 
 
-def _scaled_nonzero(v) -> tuple[int, list[tuple[int, int]]]:
-    """(p, the nonzero (i, p * v[i])): ``_integral`` of the nonzero entries of v alone."""
-    nz = _nonzero(v)
-    p, ints = _integral([c for _, c in nz])
-    return p, [(i, c) for (i, _), c in zip(nz, ints)]
-
-
 def multiply(x: Element, y: Element) -> Element:
-    """Bilinear product through the integer table: with x = u / p and y = w / q for
-    integer u and w, xy is the product of u and w through T divided by d p q."""
+    """Bilinear product through the integer table: xy is the product of x.num and y.num
+    through T over d x.den y.den."""
     x._same(y)
     d, table = x.algebra.table
-    (p, u), (q, w) = _scaled_nonzero(x.coords), _scaled_nonzero(y.coords)
-    den, zero = d * p * q, Fraction(0)
-    return Element(x.algebra, [Fraction(c, den) if c else zero for c in _product(table, u, w)])
+    return _element(x.algebra, _product(table, _nonzero(x.num), _nonzero(y.num)),
+                    d * x.den * y.den)
 
 
 def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
     """Grow the span of the seed by the products of pairs(canonical basis)
     until none leaves it; the canonical RREF makes the order immaterial."""
-    span = SubspaceBasis(A.dim, [s.coords for s in seed])
+    span = SubspaceBasis(A.dim, [s.num for s in seed])
     while True:
         new_vectors = list(span.vectors)
         for u, v in pairs([Element(A, w) for w in span.vectors]):
-            p = multiply(u, v)
-            if not span.contains(p.coords):
-                new_vectors.append(p.coords)
+            p = multiply(u, v).num
+            if not span.contains(p):
+                new_vectors.append(p)
         if len(new_vectors) == len(span.vectors):
             return span
         span = SubspaceBasis(A.dim, new_vectors)

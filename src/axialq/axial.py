@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .algcore import Algebra, Element, _nonzero, _product, ideal_closure
+from .algcore import Algebra, Element, _element, _nonzero, _product, ideal_closure
 from .errors import (
     AlgebraMismatch,
     Inconsistent,
@@ -109,11 +109,10 @@ def eigendecompose(e: Element) -> EigDecomposition:
     once per idempotent and kept in ``Algebra.decompositions`` for the lifetime of its
     algebra.
     """
-    A = e.algebra
-    dec = A.decompositions.get(e.coords)
+    A, key = e.algebra, (e.num, e.den)
+    dec = A.decompositions.get(key)
     if dec is None:
-        (d, table), n = A.table, A.dim
-        q, u = _integral(e.coords)
+        (d, table), n, q, u = A.table, A.dim, e.den, e.num
         us = _nonzero(u)
         if _product(table, us, us) != [d * q * x for x in u]:
             raise NotIdempotent(f"{e!r} is not idempotent")
@@ -126,7 +125,7 @@ def eigendecompose(e: Element) -> EigDecomposition:
                       for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
         m = tuple(tuple((i, x // g) for i, x in _nonzero(col)) for col in cols)
         sparse = tuple(tuple(_nonzero(_integral(v)[1]) for v in space.vectors) for space in spaces)
-        dec = A.decompositions[e.coords] = EigDecomposition(e, *spaces, s, m, sparse)
+        dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m, sparse)
     return dec
 
 
@@ -222,13 +221,13 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
     if not dec.semisimple or dec.v1.dim != 1:
         raise NotPrimitiveAxis("decomposition is not that of a primitive axis")
     dec.axis._same(x)
-    q, v = _integral(x.coords)
-    mv, den = _apply(dec, v), dec.s * dec.s * q
-    x1 = [Fraction(y, den) for y in _apply(dec, mv, 2, dec.s)]
-    xh = [Fraction(-4 * y, den) for y in _apply(dec, mv, 1, dec.s)]
+    A, s2, axis = x.algebra, dec.s * dec.s, dec.axis
+    mv, den = _apply(dec, x.num), s2 * x.den
+    x1 = _apply(dec, mv, 2, dec.s)
+    xh = [-4 * y for y in _apply(dec, mv, 1, dec.s)]
     p = dec.v1.pivots[0]
-    return (Element(x.algebra, [c - a - b for c, a, b in zip(x.coords, x1, xh)]),
-            Element(x.algebra, xh), x1[p] / dec.axis.coords[p])
+    return (_element(A, [s2 * c - a - b for c, a, b in zip(x.num, x1, xh)], den),
+            _element(A, xh, den), Fraction(x1[p] * axis.den, den * axis.num[p]))
 
 
 def _invariance_equations(A: Algebra) -> tuple[list[list[int]], Iterator[list[tuple[int, int]]]]:
@@ -266,8 +265,8 @@ class GramForm:
     def value(self, x: Element, y: Element) -> Fraction:
         if x.algebra is not self.algebra or y.algebra is not self.algebra:
             raise AlgebraMismatch("elements live in another algebra than the form")
-        gv = self.gram.apply(y.coords)
-        return sum(a * b for a, b in zip(x.coords, gv))
+        gv = self.gram.apply(y.num)
+        return sum((a * b for a, b in zip(x.num, gv) if a), Fraction(0)) / (x.den * y.den)
 
     def is_invariant(self) -> bool:
         """(xy, z) = (x, yz) on all basis triples, decided in integers on G scaled once."""
@@ -365,7 +364,7 @@ def radical(A: Algebra, g: GramForm) -> SubspaceBasis:
         if closed != ker:
             raise InvariantViolation("form kernel is not an ideal")
     for a in A.designated_axes:
-        if ker.contains(a.coords):
+        if ker.contains(a.num):
             raise InvariantViolation("a designated axis lies in the radical")
     return ker
 
@@ -376,7 +375,7 @@ def quasi_definite_basis_check(
     """All distinct pairs must have form value != 1; returns a witness on failure."""
     if not X:
         raise NotBasisOfAxes("empty axis list")
-    if rref(Matrix([x.coords for x in X])).rank != len(X):
+    if rref(Matrix([x.num for x in X])).rank != len(X):
         raise NotBasisOfAxes("axes are linearly dependent")
     for x in X:
         try:

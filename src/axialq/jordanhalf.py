@@ -88,6 +88,11 @@ def _x_raw(a: Element, b: Element, alpha: Fraction) -> Element:
 
 def x_of(a: Element, b: Element, g: GramForm) -> Element:
     """The idempotent (2ab - (a,b)a - b) / ((a,b) - 1) in A_0(a)."""
+    return _x_and_alpha(a, b, g)[0]
+
+
+def _x_and_alpha(a: Element, b: Element, g: GramForm) -> tuple[Element, Fraction]:
+    """x_a(b), checked, and alpha = (a, b)."""
     if a == b:
         raise SameAxis("x_a(b) needs two distinct axes")
     primitive_decomposition(a)
@@ -104,7 +109,7 @@ def x_of(a: Element, b: Element, g: GramForm) -> Element:
         raise InvariantViolation("(x_a(b), x_a(b)) != 1")
     if not multiply(a, x).is_zero():
         raise InvariantViolation("x_a(b) is not in the 0-eigenspace of a")
-    return x
+    return x, alpha
 
 
 class PairIdentityReport:
@@ -213,10 +218,10 @@ def triple_form_identity(a: Element, b: Element, c: Element,
     """
     if a == b or a == c or b == c:
         raise SameAxis("triple identity needs pairwise distinct axes")
-    # x_of raises FormValueOne when (a, b) or (a, c) is 1, before the division
-    lhs = g.value(x_of(a, b, g), x_of(a, c, g))
-    alpha = g.value(a, b)
-    gamma = g.value(a, c)
+    # _x_and_alpha raises FormValueOne when (a, b) or (a, c) is 1, before the division
+    xb, alpha = _x_and_alpha(a, b, g)
+    xc, gamma = _x_and_alpha(a, c, g)
+    lhs = g.value(xb, xc)
     beta = g.value(b, c)
     denom = -alpha * gamma + alpha + gamma - 1  # = -(alpha - 1)(gamma - 1), nonzero here
     phi = g.value(multiply(a, b), c)
@@ -245,7 +250,7 @@ def a0_axis_basis(a: Element, X: Sequence[Element], g: GramForm) -> list[Element
     out = _projections(a, X, g)
     if any(not x.is_idempotent() or g.value(x, x) != 1 for x in out):
         raise InvariantViolation("projected element is not a normalized idempotent")
-    span = SubspaceBasis(a.algebra.dim, [x.coords for x in out])
+    span = SubspaceBasis(a.algebra.dim, [x.num for x in out])
     if span != v0:
         raise InvariantViolation("span of the projected axes != A_0(a)")
     return out
@@ -279,8 +284,7 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
         if q1 == q2:
             # q1 q2 = q1, so the product rescales the same axis
             return q1, s1 * s2, cross, ev
-        axis = x_of(q1, q2, g)
-        alpha = g.value(q1, q2)
+        axis, alpha = _x_and_alpha(q1, q2, g)
         scale = 2 * s1 * s2 / (alpha - 1)
         corr = cross - (alpha * q1 + q2) / (2 * s1 * s2)
         return axis, scale, corr, ev
@@ -307,12 +311,12 @@ def _select_axis_basis(candidates: Sequence[Element], target: SubspaceBasis,
     chosen: list[Element] = []
     span = SubspaceBasis.zero(target.ambient_dim)
     for x in candidates:
-        if span.contains(x.coords):
+        if span.contains(x.num):
             continue
         if any(g.value(x, y) == 1 for y in chosen):
             continue
         chosen.append(x)
-        span = SubspaceBasis(target.ambient_dim, [c.coords for c in chosen])
+        span = SubspaceBasis(target.ambient_dim, [c.num for c in chosen])
         if span.dim == target.dim:
             break
     if span != target:

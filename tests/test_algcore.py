@@ -4,7 +4,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -70,6 +70,16 @@ def test_element_arithmetic_and_mismatch():
     assert (-p).coords == (F(-1), F(0))
     with pytest.raises(AlgebraMismatch):
         multiply(p, B.basis_element(0))
+
+
+def test_scaling_refuses_floats():
+    p = _pair_algebra().basis_element(0)
+    for scaled in (lambda: p.scale(0.5), lambda: p * 0.1, lambda: 0.1 * p, lambda: p / 0.5):
+        with pytest.raises(TypeError, match="floating point is not allowed"):
+            scaled()
+    half = p.algebra.element([F(1, 2), F(0)])
+    assert p.scale(F(1, 2)) == p * "1/2" == F(1, 2) * p == p / 2 == p / "2" == half
+    assert (3 * p).coords == (F(3), F(0))
 
 
 def test_multiply_is_bilinear_spot_check():
@@ -202,6 +212,42 @@ def test_multiply_matches_dense_sum(name, xc, yc):
     dense = [sum((x.coords[i] * y.coords[j] * c[i][j][k]
                   for i in range(n) for j in range(n)), F(0)) for k in range(n)]
     assert multiply(x, y).coords == tuple(dense)
+
+
+def _assert_canonical(e):
+    """num a tuple of ints over den >= 1 in lowest terms, and rebuilt from coords unchanged."""
+    assert type(e.num) is tuple and all(type(a) is int for a in e.num)
+    assert type(e.den) is int and e.den >= 1 and gcd(e.den, *e.num) == 1
+    assert Element(e.algebra, e.coords) == e
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(info.name for info in registry())), _OPERAND, _OPERAND, _COORD)
+@example("matsuo_s4", [F(1, 5)], [F(1, 5)], F(0))
+@example("h3", [F(1, 2), F(-1, 3)], [F(1, 2), F(-1, 3), F(0), F(1, 7)], F(-7, 2))
+def test_element_matches_fraction_oracle(name, xc, yc, c):
+    """Element arithmetic against plain Fraction arithmetic on the source grid and the Gram
+    matrix: sums, differences, negation, scaling, products, the form, ==, hash, is_zero."""
+    info = by_name(name)
+    A, n, grid, gram = info.A, info.A.dim, source_grid(info.A), info.g.gram.entries()
+    xs, ys = ([F(a) for a in (list(v) + [F(0)] * n)[:n]] for v in (xc, yc))
+    x, y = A.element(xs), A.element(ys)
+    dense = [sum((xs[i] * ys[j] * grid[i][j][k] for i in range(n) for j in range(n)), F(0))
+             for k in range(n)]
+    cases = [(x, xs), (y, ys),
+             (x + y, [a + b for a, b in zip(xs, ys)]), (x - y, [a - b for a, b in zip(xs, ys)]),
+             (-x, [-a for a in xs]), (x.scale(c), [c * a for a in xs]),
+             (c * y, [c * a for a in ys]), (multiply(x, y), dense)]
+    for e, v in cases:
+        assert e.coords == tuple(v)
+        assert e.is_zero() == (not any(v))
+        _assert_canonical(e)
+    value = info.g.value(x, y)
+    assert type(value) is F
+    assert value == sum((xs[i] * gram[i][j] * ys[j] for i in range(n) for j in range(n)), F(0))
+    assert (x == y) == (xs == ys)
+    for e, f in ((x, A.element(xs)), (x, x + A.zero()), (x, 2 * x / 2), (y - y, A.zero())):
+        assert e == f and hash(e) == hash(f)
 
 
 def _assert_table_is_scaled_grid(A):

@@ -133,8 +133,8 @@ def test_algebra_file_rejects_bad_shapes_and_rationals():
 
 
 def test_algebra_file_parses_each_rational_string_once(monkeypatch):
-    """Each distinct rational string in one file is parsed once, and equal entries of
-    the axes and generators load as one Fraction object."""
+    """Each distinct rational string in one file is parsed once, the axes load as integer
+    vectors over den 1, and equal entries of the generators load as one Fraction object."""
     A, _ = matsuo(sn_transpositions(4))
     d = AlgebraFile.from_algebra("s4", A).to_dict()
     d["generators"] = d["axes"]
@@ -144,8 +144,10 @@ def test_algebra_file_parses_each_rational_string_once(monkeypatch):
     strings = [c for vectors in (*d["table"], d["axes"], d["generators"])
                for v in vectors for c in v]
     assert sorted(parsed) == sorted(set(strings)) == ["-1/4", "0", "1", "1/4"]
-    entries = [c for a in af.algebra.designated_axes for c in a.coords]
-    entries += [c for g in af.generators for c in g]
+    axes = af.algebra.designated_axes
+    assert len(axes) == 6 and all(a.den == 1 and set(a.num) == {0, 1} for a in axes)
+    assert all(type(c) is int for a in axes for c in a.num)
+    entries = [c for g in af.generators for c in g]
     assert len({id(c) for c in entries}) == len(set(entries)) == 2  # 0, 1
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from axialq import (
     capacity_decomposition,
     eigendecompose,
     find_unit,
+    frobenius_projection,
     multiply,
     pair_decompose,
     pair_identity_suite,
@@ -201,6 +203,29 @@ def test_word_to_axis_repeated_letter():
     axis, scale, corr = word_to_axis(A, [a, b], Word(((0, 1), 0)), info.g)
     assert axis.is_idempotent()
     assert scale * (multiply(multiply(a, b), a) + corr) == axis
+
+
+def test_retained_elements_stay_small():
+    """A product in Matsuo(S5) (dim 10) retains at most 256 B under tracemalloc, averaged
+    over 300 products, and word_to_axis hands back elements without a built coords view."""
+    A = matsuo(sn_transpositions(5))[0]
+    axes = list(A.designated_axes)
+    X = axes + [a + b for a, b in itertools.combinations(axes, 2)]
+    pairs = list(itertools.combinations(X, 2))[:300]
+    out = [None] * len(pairs)
+    tracemalloc.start()
+    try:
+        for i, (x, y) in enumerate(pairs):
+            out[i] = multiply(x, y)
+        retained = tracemalloc.get_traced_memory()[0] / len(pairs)
+    finally:
+        tracemalloc.stop()
+    assert A.dim == 10 and retained <= 256
+    g = frobenius_projection(A, axes)
+    for tree in [((0, 1), 2), ((0, 1), (2, 3)), (((0, 1), 2), 4)]:
+        axis, _, corr = word_to_axis(A, axes, Word(tree), g)
+        assert not hasattr(axis, "_coords") and not hasattr(corr, "_coords")
+    assert len(axis.coords) == A.dim and hasattr(axis, "_coords")  # the view, once read
 
 
 # --- recursive unit ----------------------------------------------------------

@@ -2,8 +2,11 @@
 
 An algebra is a dimension, a named basis, and exact rational structure constants
 c[i][j][k], kept once as the integer table (d, T) that every product reads: basis
-elements i and j multiply to c[i][j][k] on basis element k.  A list of designated
-axes (idempotents of interest) may ride along.
+elements i and j multiply to c[i][j][k] on basis element k.  ``Algebra`` takes only the
+nonzero constants, as cells {(i, j): [(k, c[i][j][k]), ...]} for i <= j, each mirrored to
+(j, i); a pair without a cell multiplies to 0.  ``make_algebra`` also takes the dense grid
+structure[i][j][k], whose two halves must agree.  A list of designated axes (idempotents
+of interest) may ride along.
 
 An ``Element`` is the integer vector ``num`` over the integer ``den`` > 0, gcd(den, *num) = 1,
 so equal elements have equal (num, den); arithmetic runs on that pair, and ``coords``, the
@@ -18,7 +21,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, CommutativityViolation, InvariantViolation, NotIdempotent
-from .exactla import Matrix, SubspaceBasis, _frac, _integral, solve
+from .exactla import Matrix, SubspaceBasis, _frac, _integral, solve, vec
 
 __all__ = [
     "Algebra",
@@ -39,14 +42,20 @@ class Algebra:
 
     __slots__ = ("dim", "basis_names", "table", "decompositions", "designated_axes")
 
-    def __init__(self, dim: int, basis_names: Sequence[str], structure):
-        """``structure[i][j]`` is the coordinate vector of (basis i) * (basis j); ``table``
-        is (d, T), d the lcm of the denominators and T[i][j] the nonzero (k, d c[i][j][k])."""
+    def __init__(self, dim: int, basis_names: Sequence[str], cells: dict):
+        """``cells[i, j]``, i <= j, lists the (k, c[i][j][k]) of (basis i) * (basis j), with
+        distinct k; ``table`` is (d, T), d the lcm of the denominators and T[i][j] = T[j][i]
+        the nonzero (k, d c[i][j][k]) in order of k."""
         self.dim = n = dim
         self.basis_names = tuple(basis_names)
-        d, flat = _integral([c for plane in structure for row in plane for c in row])
-        self.table = d, tuple(tuple(tuple(_nonzero(flat[(i * n + j) * n:(i * n + j + 1) * n]))
-                                    for j in range(n)) for i in range(n))
+        d, flat = _integral([c for cell in cells.values() for _, c in cell])
+        flat, table = iter(flat), [[()] * n for _ in range(n)]
+        for (i, j), cell in cells.items():
+            ks = [k for k, _ in cell]
+            if not (0 <= i <= j < n and all(0 <= k < n for k in ks) and len(set(ks)) == len(ks)):
+                raise ValueError(f"cell ({i}, {j}) needs i <= j < dim and distinct k < dim")
+            table[i][j] = table[j][i] = tuple(sorted((k, c) for k, c in zip(ks, flat) if c))
+        self.table = d, tuple(map(tuple, table))
         # an axis's (num, den) -> its Peirce decomposition, built by axial.eigendecompose
         self.decompositions = {}
         self.designated_axes: tuple[Element, ...] = ()
@@ -180,19 +189,16 @@ class Word:
 
 
 def make_algebra(dim: int, names: Sequence[str], structure, axes=()) -> Algebra:
-    """Validate and build an algebra from a structure-constant grid."""
+    """Validate and build an algebra from its cells, as ``Algebra`` takes them, or from a
+    dense structure-constant grid, whose two halves must agree."""
     if len(names) != dim:
         raise ValueError("basis name count != dimension")
-    if len(structure) != dim or any(len(p) != dim for p in structure) \
-            or any(len(row) != dim for p in structure for row in p):
-        raise ValueError("structure grid dimensions must all equal dim")
+    if not isinstance(structure, dict):
+        if len(structure) != dim or any(len(p) != dim for p in structure) \
+                or any(len(row) != dim for p in structure for row in p):
+            raise ValueError("structure grid dimensions must all equal dim")
+        structure = _upper(names, [[_nonzero(vec(row)) for row in p] for p in structure])
     alg = Algebra(dim, names, structure)
-    _, table = alg.table
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if table[i][j] != table[j][i]:
-                raise CommutativityViolation(
-                    f"c[{i}][{j}] != c[{j}][{i}] ({names[i]}, {names[j]})")
     designated = []
     for a in axes:
         e = Element(alg, a.coords if isinstance(a, Element) else a)
@@ -201,6 +207,20 @@ def make_algebra(dim: int, names: Sequence[str], structure, axes=()) -> Algebra:
         designated.append(e)
     alg.designated_axes = tuple(designated)
     return alg
+
+
+def _upper(names: Sequence[str], grid) -> dict:
+    """The cells (i, j), i <= j, of the square grid of nonzero (k, c) lists, once each
+    agrees with its cell (j, i)."""
+    cells = {}
+    for i, row in enumerate(grid):
+        for j in range(i, len(row)):
+            if row[j] != grid[j][i]:
+                raise CommutativityViolation(
+                    f"c[{i}][{j}] != c[{j}][{i}] ({names[i]}, {names[j]})")
+            if row[j]:
+                cells[i, j] = row[j]
+    return cells
 
 
 def _nonzero(v) -> list[tuple[int, object]]:
@@ -296,18 +316,13 @@ def restrict_to_subspace(A: Algebra, span: SubspaceBasis,
     """
     d = span.dim
     basis = [Element(A, v) for v in span.vectors]
-    structure = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            p = multiply(basis[i], basis[j])
-            coords = span.coords_of(p.coords)
-            if coords is None:
-                raise ValueError("subspace is not closed under the product")
-            plane.append(coords)
-        structure.append(plane)
-    names = [f"s{i}" for i in range(d)]
-    sub = Algebra(d, names, structure)
+    cells = {}
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        coords = span.coords_of(multiply(basis[i], basis[j]).coords)
+        if coords is None:
+            raise ValueError("subspace is not closed under the product")
+        cells[i, j] = list(enumerate(coords))
+    sub = Algebra(d, [f"s{i}" for i in range(d)], cells)
     images = []
     for a in axes:
         coords = span.coords_of(a.coords)

@@ -186,7 +186,7 @@ def check_fusion(dec: EigDecomposition) -> FusionReport:
     v0, vh, v1 = dec.sparse
 
     def within(left, right, test) -> bool:
-        # the product commutes (make_algebra checks it): a square needs w from u on
+        # the product commutes (Algebra mirrors each cell): a square needs w from u on
         return all(test(_product(table, u, w)) for i, u in enumerate(left)
                    for w in (right[i:] if left is right else right))
 

@@ -8,6 +8,7 @@ H_n and H_n' are subalgebras of M_n^+: their products are formed by
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -154,44 +155,25 @@ def spin_factor(diag: Sequence) -> Algebra:
         raise DegenerateForm("zero diagonal entry")
     n = len(d)
     dim = n + 1
-    zero = [Fraction(0)] * dim
-    structure = [[zero] * dim for _ in range(dim)]
-    for i, unit in enumerate(Matrix.identity(dim).entries()):
-        structure[0][i] = structure[i][0] = unit  # 1 v_i = v_i
-        if i:
-            structure[i][i] = [d[i - 1]] + zero[1:]  # v_i v_i = f(v_i, v_i) 1
+    cells = {(0, i): [(i, 1)] for i in range(dim)}  # 1 v_i = v_i
+    cells.update({(i, i): [(0, d[i - 1])] for i in range(1, dim)})  # v_i v_i = f(v_i, v_i) 1
     names = ["1"] + [f"v{i}" for i in range(1, dim)]
     axes = []
     for i in range(1, dim):
         s = _is_square(d[i - 1])
         if s is not None:
-            coords = list(zero)
-            coords[0] = HALF
-            coords[i] = 1 / (2 * s)
-            axes.append(coords)
-    return make_algebra(dim, names, structure, axes)
+            axes.append([HALF] + [1 / (2 * s) if k == i else 0 for k in range(1, dim)])
+    return make_algebra(dim, names, cells, axes)
 
 
-def _matrix_jordan_raw(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
-    """Basis names e_ij and structure constants of M_n under A o B = (AB + BA)/2."""
-    dim = n * n
-
-    def idx(i, j):
-        return i * n + j
-
-    zero = [Fraction(0)] * dim
-    structure = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    row = structure[idx(i, j)][idx(k, l)]
-                    if j == k:
-                        row[idx(i, l)] += HALF
-                    if l == i:
-                        row[idx(k, j)] += HALF
-    names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return names, structure
+def _matrix_jordan_raw(n: int) -> tuple[list[str], dict]:
+    """Basis names e_ij and the cells of M_n under A o B = (AB + BA)/2: each nonzero matrix
+    product e_ij e_jl = e_il is half of its pair's cell, and e_ii e_ii = e_ii all of it."""
+    cells = {}
+    for i, j, l in itertools.product(range(n), repeat=3):
+        a, b = i * n + j, j * n + l
+        cells.setdefault((min(a, b), max(a, b)), []).append((i * n + l, 1 if a == b else HALF))
+    return [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)], cells
 
 
 def _qd_basis_pairs(n: int) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
@@ -258,13 +240,17 @@ def _sym_names(n: int) -> tuple[list[tuple[int, int]], list[str]]:
     return index, names
 
 
-def _sym_table(n: int, basis: Sequence[Sequence[Fraction]],
-               coords_of) -> list[list[list[Fraction]]]:
-    """Structure constants on the flattened n x n matrices of basis: each product is
-    formed in M_n^+, from the table of ``_matrix_jordan_raw``, and read by coords_of."""
+def _sym_table(n: int, basis: Sequence[Sequence[Fraction]], coords_of) -> dict:
+    """The cells on the flattened n x n matrices of basis: each product, for i <= j, is
+    formed once in M_n^+, from the cells of ``_matrix_jordan_raw``, and read off its
+    (num, den): coords_of maps num, linearly, to integer coordinates over den."""
     M = Algebra(n * n, *_matrix_jordan_raw(n))
     elements = [M.element(b) for b in basis]
-    return [[coords_of(multiply(a, b).coords) for b in elements] for a in elements]
+    cells = {}
+    for i, j in itertools.combinations_with_replacement(range(len(basis)), 2):
+        p = multiply(elements[i], elements[j])
+        cells[i, j] = [(k, Fraction(c, p.den)) for k, c in enumerate(coords_of(p.num)) if c]
+    return cells
 
 
 def sym_jordan(n: int) -> Algebra:
@@ -276,26 +262,10 @@ def sym_jordan(n: int) -> Algebra:
     if n < 2:
         raise ValueError("n must be >= 2")
     index, names = _sym_names(n)
-    basis = []
-    for i, j in index:
-        m = [Fraction(0)] * (n * n)
-        m[i * n + j] = m[j * n + i] = Fraction(1)
-        basis.append(m)
-    structure = _sym_table(n, basis, lambda p: [p[i * n + j] for i, j in index])
+    basis = [[int(k in (i * n + j, j * n + i)) for k in range(n * n)] for i, j in index]
+    cells = _sym_table(n, basis, lambda p: [p[i * n + j] for i, j in index])
     dim = len(index)
-    return make_algebra(dim, names, structure, Matrix.identity(dim).entries()[:n])
-
-
-def _hn_prime_axes(n: int) -> list[list[Fraction]]:
-    """The flattened matrices a_ij = (e_i - e_j)(e_i - e_j)^T / 2 for i < j, in order."""
-    axes = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = [Fraction(0)] * (n * n)
-            m[i * n + i] = m[j * n + j] = HALF
-            m[i * n + j] = m[j * n + i] = -HALF
-            axes.append(m)
-    return axes
+    return make_algebra(dim, names, cells, Matrix.identity(dim).entries()[:n])
 
 
 def sym_jordan_prime(n: int) -> Algebra:
@@ -309,15 +279,19 @@ def sym_jordan_prime(n: int) -> Algebra:
     if n < 2:
         raise ValueError("n must be >= 2")
 
-    def coords_of(p: Sequence[Fraction]) -> list[Fraction]:
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def coords_of(p: Sequence[int]) -> list[int]:
         if any(sum(p[i * n:(i + 1) * n]) for i in range(n)):
             raise InvariantViolation("product left the zero-row-sum subspace")
-        return [-2 * p[i * n + j] for i in range(n) for j in range(i + 1, n)]
+        return [-2 * p[i * n + j] for i, j in pairs]
 
-    structure = _sym_table(n, _hn_prime_axes(n), coords_of)
-    dim = len(structure)
-    names = [f"a{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
-    return make_algebra(dim, names, structure, Matrix.identity(dim).entries())
+    # the flattened a_ij: entry (r, c) is (e_i - e_j)[r] (e_i - e_j)[c] / 2
+    basis = [[Fraction(((r == i) - (r == j)) * ((c == i) - (c == j)), 2)
+              for r in range(n) for c in range(n)] for i, j in pairs]
+    names = [f"a{i + 1}{j + 1}" for i, j in pairs]
+    cells = _sym_table(n, basis, coords_of)
+    return make_algebra(len(pairs), names, cells, Matrix.identity(len(pairs)).entries())
 
 
 def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
@@ -332,16 +306,14 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
     dim = len(D)
     pos = {p: k for k, p in enumerate(D)}
     quarter = Fraction(1, 4)
-    zero = [Fraction(0)] * dim
-    structure = [[list(zero) for _ in range(dim)] for _ in range(dim)]
+    cells = {}
     gram = [[Fraction(0)] * dim for _ in range(dim)]
     for i, c in enumerate(D):
-        structure[i][i][i] = Fraction(1)
+        cells[i, i] = [(i, 1)]
         gram[i][i] = Fraction(1)
         for j in range(i + 1, dim):
             d = D[j]
             order = orders[i, j]
-            row = list(zero)
             if order == 2:
                 pass  # product 0, form 0
             elif order == 3:
@@ -349,16 +321,12 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
                 if conj not in pos:
                     raise ConjugacyClosureError(
                         f"{conj!r} = c^d is not in the involution set")
-                row[i] += quarter
-                row[j] += quarter
-                row[pos[conj]] -= quarter
+                cells[i, j] = [(i, quarter), (j, quarter), (pos[conj], -quarter)]
                 gram[i][j] = gram[j][i] = quarter
             else:
                 raise BadProductOrder(f"|{c!r} {d!r}| = {order}")
-            structure[i][j] = row
-            structure[j][i] = list(row)
     names = [p.cycle_string() for p in D]
-    return make_algebra(dim, names, structure, Matrix.identity(dim).entries()), Matrix(gram)
+    return make_algebra(dim, names, cells, Matrix.identity(dim).entries()), Matrix(gram)
 
 
 def sn_transpositions(n: int) -> MatsuoInput:
@@ -378,12 +346,9 @@ def two_gen_algebra(alpha) -> Algebra:
     """
     alpha = Fraction(alpha)
     pi = (alpha - 1) / 2
-    structure = [
-        [[1, 0, 0], [HALF, HALF, 1], [pi, 0, 0]],
-        [[HALF, HALF, 1], [0, 1, 0], [0, pi, 0]],
-        [[pi, 0, 0], [0, pi, 0], [0, 0, pi]],
-    ]
-    A = make_algebra(3, ["a", "b", "s"], structure, [[1, 0, 0], [0, 1, 0]])
+    cells = {(0, 0): [(0, 1)], (0, 1): [(0, HALF), (1, HALF), (2, 1)], (0, 2): [(0, pi)],
+             (1, 1): [(1, 1)], (1, 2): [(1, pi)], (2, 2): [(2, pi)]}
+    A = make_algebra(3, ["a", "b", "s"], cells, [[1, 0, 0], [0, 1, 0]])
     unit = find_unit(A)
     if alpha != 1:
         expected = A.element([0, 0, 1]) / pi

@@ -10,9 +10,10 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode
 from typing import NamedTuple, Optional
 
-from .algcore import Algebra, make_algebra
+from .algcore import Algebra, _upper, make_algebra
 from .errors import ParseError
 
 __all__ = [
@@ -51,6 +52,11 @@ def _vector(value, dim: int, what: str, memo: dict) -> list[Fraction]:
             memo[c] = parse_rational(c)
         out.append(memo[c] if type(c) is str else parse_rational(c))
     return out
+
+
+def _cell(value, dim: int, memo: dict) -> list[tuple[int, Fraction]]:
+    """The nonzero (k, c[k]) of one table cell, every entry validated in order."""
+    return [(k, c) for k, c in enumerate(_vector(value, dim, "the table cells", memo)) if c]
 
 
 def _vectors(value, dim: int, what: str, memo: dict) -> list[list[Fraction]]:
@@ -110,16 +116,16 @@ class AlgebraFile(NamedTuple):
                 or not all(isinstance(row, list) and len(row) == dim for row in table):
             raise ParseError("table must be a dim x dim grid of dim-vectors")
         memo: dict[str, Fraction] = {}  # each distinct rational string is parsed once per file
-        structure = [[_vector(cell, dim, "the table cells", memo) for cell in row] for row in table]
+        grid = [[_cell(cell, dim, memo) for cell in row] for row in table]
         axes = _vectors(d.get("axes", []), dim, "axes", memo)
-        algebra = make_algebra(dim, basis, structure, axes)
+        algebra = make_algebra(dim, basis, _upper(basis, grid), axes)  # both halves checked
         gens = None
         if "generators" in d:
             gens = [tuple(g) for g in _vectors(d["generators"], dim, "generators", memo)]
         return cls(name=name, algebra=algebra, generators=gens)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _indented(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "AlgebraFile":
@@ -130,6 +136,19 @@ class AlgebraFile(NamedTuple):
         except RecursionError:
             raise ParseError("JSON is nested too deeply to decode") from None
         return cls.from_dict(d)
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of nested dicts and lists, each string through the C
+    encoder, not the pure-Python one that ``indent`` selects."""
+    inner = pad + "  "
+    if type(value) is dict:
+        items, ends = [f"{_encode(k)}: {_indented(v, inner)}" for k, v in value.items()], "{}"
+    elif type(value) is list:
+        items, ends = [_encode(v) if type(v) is str else _indented(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
 class Report:

@@ -34,19 +34,22 @@ from axialq.constructions import (
     sym_jordan_prime,
     two_gen_algebra,
 )
-from axialq.exactla import vec
 from axialq.jordanhalf import x_of
 
 HALF = Fraction(1, 2)
 
-# id(algebra) -> (algebra, the structure grid it was built from), for source_grid
+# id(algebra) -> (algebra, the dense structure grid its cells expand to), for source_grid
 _SOURCE_GRIDS: dict[int, tuple[Algebra, tuple]] = {}
 _algebra_init = Algebra.__init__
 
 
-def _recording_init(self, dim, basis_names, structure):
-    _algebra_init(self, dim, basis_names, structure)
-    _SOURCE_GRIDS[id(self)] = self, tuple(tuple(vec(row) for row in plane) for plane in structure)
+def _recording_init(self, dim, basis_names, cells):
+    _algebra_init(self, dim, basis_names, cells)
+    grid = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), cell in cells.items():
+        for k, c in cell:  # Algebra has checked i <= j and that no k repeats
+            grid[i][j][k] = grid[j][i][k] = Fraction(c)
+    _SOURCE_GRIDS[id(self)] = self, tuple(tuple(map(tuple, plane)) for plane in grid)
 
 
 Algebra.__init__ = _recording_init
@@ -54,7 +57,8 @@ Algebra.__init__ = _recording_init
 
 def source_grid(A: Algebra) -> tuple:
     """The structure constants c[i][j][k] that A was built from, as Fractions: every algebra
-    built while the tests run records its grid, so oracles read it and never A.table."""
+    built while the tests run records the dense grid of the cells it was given, so oracles
+    read it and never A.table."""
     return _SOURCE_GRIDS[id(A)][1]
 
 

@@ -55,6 +55,19 @@ def test_make_algebra_validates_commutativity():
         make_algebra(2, ["p", "q"], bad)
 
 
+def test_cells_for_i_le_j_build_the_mirrored_table():
+    """Cells given for i <= j only are mirrored to (j, i) and their zero coefficients dropped;
+    a repeated k in one cell, or a cell (i, j) with i > j, raises ValueError."""
+    A = make_algebra(2, ["p", "q"], {(0, 0): [(0, F(1))], (0, 1): [(1, F(1, 2)), (0, 0)]})
+    assert A.table == (2, ((((0, 2),), ((1, 1),)), (((1, 1),), ())))
+    p, q = A.basis_elements()
+    assert multiply(q, p) == multiply(p, q) == q / 2 and multiply(q, q).is_zero()
+    for cells in ({(0, 1): [(1, F(1, 2)), (1, F(1, 4))]}, {(0, 1): [(1, 0), (1, F(1, 2))]},
+                  {(1, 0): [(1, F(1))]}):
+        with pytest.raises(ValueError):
+            make_algebra(2, ["p", "q"], cells)
+
+
 def test_make_algebra_validates_axes():
     A = _pair_algebra()
     with pytest.raises(NotIdempotent):

@@ -107,6 +107,40 @@ def test_writer_matches_products_on_random_tables(table):
     assert cells == [[[format_rational(c) for c in cell] for cell in row] for row in table]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_commutative_tables())
+def test_cells_build_the_table_of_the_dense_grid(table):
+    """The cells (i, j), i <= j, of a grid, zeros included and k in reverse order, give the
+    (d, T) that the dense grid gives."""
+    n, names = len(table), [f"e{i}" for i in range(len(table))]
+    cells = {(i, j): list(enumerate(table[i][j]))[::-1] for i in range(n) for j in range(i, n)}
+    assert make_algebra(n, names, cells).table == make_algebra(n, names, table).table
+
+
+@settings(max_examples=100, deadline=None)
+@given(_commutative_tables(), st.data())
+def test_writer_is_json_dumps_with_indent_2(table, data):
+    """to_json is json.dumps(to_dict(), indent=2), byte for byte, with generators present
+    and absent, on names that need JSON escapes."""
+    n, text = len(table), st.text(alphabet='a"\\α/', max_size=3)
+    A = make_algebra(n, data.draw(st.lists(text, min_size=n, max_size=n)), table)
+    gens = data.draw(st.none() | st.lists(st.lists(_COEFF, min_size=n, max_size=n), max_size=2))
+    af = AlgebraFile(data.draw(text), A, None if gens is None else [tuple(g) for g in gens])
+    assert af.to_json() == json.dumps(af.to_dict(), indent=2)
+
+
+def test_analyze_rejects_a_file_whose_mirrored_cell_is_zero(tmp_path):
+    """Cell (0, 1) is nonzero and cell (1, 0) is all "0": the file's grid is not commutative,
+    although its cells for i <= j alone would build an algebra."""
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"name": "half", "dimension": 2, "basis": ["e", "u"],
+                                "table": [[["1", "0"], ["0", "1/2"]], [["0", "0"], ["0", "0"]]],
+                                "axes": [["1", "0"]]}), encoding="utf-8")
+    report, code = run_command(["analyze", str(path)])
+    assert code == 2 and report.status == "error"
+    assert report.message == "CommutativityViolation: c[0][1] != c[1][0] (e, u)"
+
+
 def test_algebra_file_rejects_asymmetric_table():
     from axialq.constructions import spin_factor
     af = AlgebraFile.from_algebra("spin", spin_factor([1]))

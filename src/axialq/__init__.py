@@ -22,7 +22,6 @@ from .axial import (
     eigendecompose,
     frobenius_projection,
     frobenius_solve,
-    miyamoto,
     peirce_components,
     primitive_decomposition,
     quasi_definite_basis_check,

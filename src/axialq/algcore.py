@@ -251,18 +251,20 @@ def multiply(x: Element, y: Element) -> Element:
 
 
 def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
-    """Grow the span of the seed by the products of pairs(canonical basis)
-    until none leaves it; the canonical RREF makes the order immaterial."""
+    """Grow the span of the seed by the products of pairs(sparse basis rows) until none
+    leaves it.  The canonical rows make the order immaterial, and membership does not
+    depend on scale, so the integer rows multiply through T as they are."""
+    _, table = A.table
     span = SubspaceBasis(A.dim, [s.num for s in seed])
     while True:
-        new_vectors = list(span.vectors)
-        for u, v in pairs([Element(A, w) for w in span.vectors]):
-            p = multiply(u, v).num
+        new_rows = list(span.rows)
+        for u, v in pairs([_nonzero(row) for row in span.rows]):
+            p = _product(table, u, v)
             if not span.contains(p):
-                new_vectors.append(p)
-        if len(new_vectors) == len(span.vectors):
+                new_rows.append(p)
+        if len(new_rows) == span.dim:
             return span
-        span = SubspaceBasis(A.dim, new_vectors)
+        span = SubspaceBasis(A.dim, new_rows)
 
 
 def subalgebra_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
@@ -274,7 +276,8 @@ def subalgebra_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
 
 def ideal_closure(A: Algebra, seed: Sequence[Element]) -> SubspaceBasis:
     """Smallest subspace containing the seed and absorbing under the product."""
-    return _closure(A, seed, lambda basis: itertools.product(basis, A.basis_elements()))
+    units = [[(j, 1)] for j in range(A.dim)]
+    return _closure(A, seed, lambda basis: itertools.product(basis, units))
 
 
 def find_unit(A: Algebra) -> Optional[Element]:
@@ -315,7 +318,7 @@ def restrict_to_subspace(A: Algebra, span: SubspaceBasis,
     is not closed under the product.
     """
     d = span.dim
-    basis = [Element(A, v) for v in span.vectors]
+    basis = [_element(A, row, span.den) for row in span.rows]
     cells = {}
     for i, j in itertools.combinations_with_replacement(range(d), 2):
         coords = span.coords_of(multiply(basis[i], basis[j]).coords)

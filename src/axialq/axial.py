@@ -5,9 +5,9 @@ Everything is exact; a "check" either returns booleans or raises one of the erro
 Peirce data, and each algebra keeps what it built, so an axis is decomposed once for the
 lifetime of its algebra.  The eigenspaces are the kernels of the integer ad matrix
 M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  The
-spectrum witness, fusion membership, Peirce components and Miyamoto involution apply M by
-adding up the columns of a vector's nonzero entries, and an axis's projection coefficients
-are one row vector times M: no product with the axis, no further elimination.
+spectrum witness, fusion membership and Peirce components apply M by adding up the columns
+of a vector's nonzero entries, and an axis's projection coefficients are one row vector
+times M: no product with the axis, no further elimination.
 ``frobenius_solve`` and ``GramForm.is_invariant`` read the integer invariance equations from
 one function; ``is_invariant`` evaluates them on G scaled once.
 """
@@ -40,7 +40,6 @@ __all__ = [
     "primitive_decomposition",
     "check_axis",
     "check_fusion",
-    "miyamoto",
     "frobenius_projection",
     "frobenius_solve",
     "radical",
@@ -53,8 +52,7 @@ HALF = Fraction(1, 2)
 
 class EigDecomposition(NamedTuple):
     """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis in
-    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j]).
-    sparse holds each eigenspace's basis vectors scaled to integers, as nonzero (i, x) lists."""
+    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j])."""
 
     axis: Element
     v0: SubspaceBasis
@@ -62,13 +60,12 @@ class EigDecomposition(NamedTuple):
     v1: SubspaceBasis
     s: int
     cols: tuple[tuple[tuple[int, int], ...], ...]
-    sparse: tuple[tuple[list[tuple[int, int]], ...], ...]
 
     @property
     def semisimple(self) -> bool:
         return self.v0.dim + self.v_half.dim + self.v1.dim == self.axis.algebra.dim
 
-    def __repr__(self):  # s, cols and sparse are left out
+    def __repr__(self):  # s and cols are left out
         return (f"EigDecomposition(axis={self.axis!r}, v0={self.v0!r}, "
                 f"v_half={self.v_half!r}, v1={self.v1!r})")
 
@@ -124,8 +121,7 @@ def eigendecompose(e: Element) -> EigDecomposition:
                       tuple(c * x - t * (i == j) for j, x in enumerate(row))
                       for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
         m = tuple(tuple((i, x // g) for i, x in _nonzero(col)) for col in cols)
-        sparse = tuple(tuple(_nonzero(_integral(v)[1]) for v in space.vectors) for space in spaces)
-        dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m, sparse)
+        dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m)
     return dec
 
 
@@ -176,14 +172,14 @@ def check_axis(e: Element) -> AxisReport:
 def check_fusion(dec: EigDecomposition) -> FusionReport:
     """Verify the four fusion inclusions by exhaustive pair products.
 
-    The decomposition's integer eigenvectors are multiplied through ``Algebra.table``; with
+    The eigenspaces' integer rows are multiplied through ``Algebra.table``; with
     M = s * ad_axis p lies in A0 iff Mp = 0, in A1/2 iff (2M - s)p = 0 and in A0 + A1 iff
     M(M - s)p = 0 (x and x - 1 are coprime).  By linearity, pairs of basis vectors suffice.
     """
     if not dec.semisimple:
         raise NotSemisimple("fusion check needs a semisimple decomposition")
     _, table = dec.axis.algebra.table
-    v0, vh, v1 = dec.sparse
+    v0, vh, v1 = ([_nonzero(row) for row in sp.rows] for sp in (dec.v0, dec.v_half, dec.v1))
 
     def within(left, right, test) -> bool:
         # the product commutes (Algebra mirrors each cell): a square needs w from u on
@@ -196,19 +192,6 @@ def check_fusion(dec: EigDecomposition) -> FusionReport:
         even_times_half=within(v0 + v1, vh, lambda p: not any(_apply(dec, p, 2, dec.s))),
         zero_times_one=within(v0, v1, lambda p: not any(p)),
     )
-
-
-def miyamoto(dec: EigDecomposition) -> Matrix:
-    """Miyamoto involution: fixes v0 + v1, negates v_half, as a matrix.
-
-    Column j is tau(e_j) = e_j - 2 (e_j)_half = e_j + 8L(L - 1) e_j = e_j + 8(M - s)M e_j / s^2.
-    """
-    if not dec.semisimple:
-        raise NotSemisimple("Miyamoto map needs a semisimple decomposition")
-    s2 = dec.s * dec.s
-    cols = [[Fraction(s2 * (i == j) + 8 * y, s2) for i, y in enumerate(col)]
-            for j, col in enumerate(_columns(dec, 1, dec.s))]
-    return Matrix(list(zip(*cols)))
 
 
 def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Element, Fraction]:
@@ -326,7 +309,8 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
     The unknowns are the Gram entries g(i, j), i <= j.  The nonzero rows of
     ``_invariance_equations`` span every (e_i e_j, e_k) = (e_i, e_j e_k) at
     half the n^3 rows, so the canonical elimination, and the solution read
-    off it, is that of the full system.  Each axis adds the row (a, a) = 1.
+    off it, is that of the full system.  Each axis adds the row (a, a) = 1, in integers
+    as (a.num, a.num) = a.den^2, so the whole system stays integral.
     Returns a solution, with free unknowns set to 0, together with the
     dimension of the homogeneous solution space (0 means the form is unique).
     """
@@ -342,13 +326,12 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
             row[u] += c
         if any(row):
             rows.append(tuple(row))
-    rhs = [Fraction(0)] * len(rows) + [Fraction(1)] * len(axes)
+    rhs = [0] * len(rows) + [a.den * a.den for a in axes]
     for a in axes:
-        row = [Fraction(0)] * nun
-        for i, ai in enumerate(a.coords):
-            for j, aj in enumerate(a.coords):
-                if ai and aj:
-                    row[index[i][j]] += ai * aj
+        row = [0] * nun
+        for i, ai in _nonzero(a.num):
+            for j, aj in _nonzero(a.num):
+                row[index[i][j]] += ai * aj
         rows.append(tuple(row))
     x, free_dim = solve(Matrix._from_rows(tuple(rows), nun), rhs)
     if x is None:
@@ -359,10 +342,8 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
 def radical(A: Algebra, g: GramForm) -> SubspaceBasis:
     """Kernel of the Gram matrix; checked to be an ideal free of axes."""
     ker = kernel_basis(g.gram)
-    if not ker.is_zero():
-        closed = ideal_closure(A, [Element(A, v) for v in ker.vectors])
-        if closed != ker:
-            raise InvariantViolation("form kernel is not an ideal")
+    if ideal_closure(A, [A.element(row) for row in ker.rows]) != ker:
+        raise InvariantViolation("form kernel is not an ideal")
     for a in A.designated_axes:
         if ker.contains(a.num):
             raise InvariantViolation("a designated axis lies in the radical")

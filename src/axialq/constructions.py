@@ -265,7 +265,7 @@ def sym_jordan(n: int) -> Algebra:
     basis = [[int(k in (i * n + j, j * n + i)) for k in range(n * n)] for i, j in index]
     cells = _sym_table(n, basis, lambda p: [p[i * n + j] for i, j in index])
     dim = len(index)
-    return make_algebra(dim, names, cells, Matrix.identity(dim).entries()[:n])
+    return make_algebra(dim, names, cells, [[int(i == j) for j in range(dim)] for i in range(n)])
 
 
 def sym_jordan_prime(n: int) -> Algebra:
@@ -291,7 +291,8 @@ def sym_jordan_prime(n: int) -> Algebra:
               for r in range(n) for c in range(n)] for i, j in pairs]
     names = [f"a{i + 1}{j + 1}" for i, j in pairs]
     cells = _sym_table(n, basis, coords_of)
-    return make_algebra(len(pairs), names, cells, Matrix.identity(len(pairs)).entries())
+    dim = len(pairs)
+    return make_algebra(dim, names, cells, [[int(i == j) for j in range(dim)] for i in range(dim)])
 
 
 def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
@@ -326,7 +327,8 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
             else:
                 raise BadProductOrder(f"|{c!r} {d!r}| = {order}")
     names = [p.cycle_string() for p in D]
-    return make_algebra(dim, names, cells, Matrix.identity(dim).entries()), Matrix(gram)
+    axes = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return make_algebra(dim, names, cells, axes), Matrix(gram)
 
 
 def sn_transpositions(n: int) -> MatsuoInput:

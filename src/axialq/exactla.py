@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Scalars cross the API as ``fractions.Fraction``; elimination runs on Python ints in one
-loop, ``_eliminate``, shared by ``rref``, ``kernel_basis`` and ``SubspaceBasis``: kernel
-vectors stay integers until ``SubspaceBasis`` builds its canonical rows.  There is no floating
-point anywhere.  Matrices and subspace bases are immutable, so safe to share between threads.
+loop, ``_eliminate``, shared by ``rref``, ``kernel_basis``, ``solve`` and ``SubspaceBasis``.
+A ``SubspaceBasis`` keeps its reduced echelon rows as integers over one denominator and builds
+their ``Fraction`` view only when it is read.  There is no floating point anywhere.  Matrices
+and subspace bases are immutable once built, so safe to share between threads.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ class Matrix:
         m = cls.__new__(cls)
         m.rows, m.cols, m._e = len(rows), cols, rows
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -165,20 +161,32 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix._from_rows(reduced, m.cols), pivots)
 
 
-class SubspaceBasis:
-    """A subspace of Q^n, canonicalized to RREF row vectors.
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The integer vector sum_i coeffs[i] rows[i] of length n."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [x + c * a for x, a in zip(out, row)]
+    return out
 
-    Two equal subspaces always have identical representations, so ``==``
-    is subspace equality.  Row i has a 1 at column ``pivots[i]``, where
-    every other row is 0.
+
+class SubspaceBasis:
+    """A subspace of Q^n, canonicalized to its reduced row echelon basis.
+
+    ``rows`` are those basis rows times ``den``, the lcm of their denominators, as tuples of
+    ints: row i holds ``den`` at column ``pivots[i]``, where every other row is 0.  Two equal
+    subspaces have identical rows, so ``==`` is subspace equality.  ``vectors``, the basis
+    rows as ``Fraction``s, is built on first read and kept.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "pivots")
+    __slots__ = ("ambient_dim", "rows", "den", "pivots", "_vectors")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence]):
         self.ambient_dim = ambient_dim
         rows, pivots = _eliminate(vectors, ambient_dim)
-        self.vectors = _canonical(rows, pivots)
+        # row r over its pivot has the denominator |pivot| / content, and den their lcm
+        self.den = den = lcm(*(row[c] // gcd(*row) for row, c in zip(rows, pivots)))
+        self.rows = tuple(tuple(x * den // row[c] for x in row) for row, c in zip(rows, pivots))
         self.pivots = tuple(pivots)
 
     @classmethod
@@ -186,57 +194,60 @@ class SubspaceBasis:
         return cls(ambient_dim, [])
 
     @property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The reduced echelon basis rows, rows / den, built on first read."""
+        if not hasattr(self, "_vectors"):
+            self._vectors = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
+        return self._vectors
+
+    @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.rows
 
     def contains(self, v: Sequence) -> bool:
-        return self.coords_of(v) is not None
+        """Whether v lies in the span: with w = q v integral, whether den w is the
+        combination of the rows weighted by w's entries at the pivots."""
+        _, w = _integral(v)
+        if len(w) != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        return _combine([w[p] for p in self.pivots], self.rows, len(w)) == [self.den * x for x in w]
 
     def coords_of(self, v: Sequence) -> Optional[Vector]:
-        """Coordinates of v in this basis, or None if v is outside.
-
-        They can only be v's entries at the pivot columns; one ``lift`` checks them.
-        """
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length != ambient dimension")
-        coords = tuple(v[p] for p in self.pivots)
-        return coords if self.lift(coords) == v else None
+        """Coordinates of v in this basis, or None if v is outside: v's entries at the
+        pivot columns, once ``contains`` holds."""
+        return tuple(_frac(v[p]) for p in self.pivots) if self.contains(v) else None
 
     def lift(self, coords: Sequence) -> Vector:
         """The ambient vector with the given coordinates in this basis."""
-        coords = vec(coords)
-        if len(coords) != self.dim:
+        q, c = _integral(coords)
+        if len(c) != self.dim:
             raise ValueError("coordinate length != subspace dimension")
-        out = [Fraction(0)] * self.ambient_dim
-        for c, b in zip(coords, self.vectors):
-            if c:
-                for k, a in enumerate(b):
-                    if a:
-                        out[k] += c * a
-        return tuple(out)
+        q *= self.den
+        return tuple(Fraction(x, q) for x in _combine(c, self.rows, self.ambient_dim))
 
     def intersection(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        """Exact intersection, via the kernel of the stacked basis matrix."""
+        """Exact intersection: the combinations of self's rows that the integer kernel of
+        the stacked rows gives."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if self.is_zero() or other.is_zero():
             return SubspaceBasis.zero(self.ambient_dim)
-        # columns: coefficients on self.vectors then on other.vectors
-        stacked = Matrix(list(zip(*self.vectors, *([-a for a in v] for v in other.vectors))))
-        return SubspaceBasis(self.ambient_dim, [self.lift(k[:self.dim])
-                                                for k in kernel_basis(stacked).vectors])
+        # columns: coefficients on self.rows then on other.rows
+        stacked = tuple(zip(*self.rows, *([-a for a in row] for row in other.rows)))
+        kernel = kernel_basis(Matrix._from_rows(stacked, self.dim + other.dim))
+        return SubspaceBasis(self.ambient_dim, [_combine(k[:self.dim], self.rows, self.ambient_dim)
+                                                for k in kernel.rows])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubspaceBasis)
                 and self.ambient_dim == other.ambient_dim
-                and self.vectors == other.vectors)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vectors))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient_dim})"
@@ -262,7 +273,6 @@ def solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
     When the solution space is positive-dimensional the free variables are
     set to zero, so the result is deterministic.
     """
-    rhs = vec(rhs)
     if len(rhs) != m.rows:
         raise ValueError("rhs length != number of rows")
     aug = Matrix._from_rows(tuple(r + (b,) for r, b in zip(m.entries(), rhs)), m.cols + 1)

@@ -179,9 +179,7 @@ def pair_identity_suite(a: Element, b: Element, g: GramForm) -> PairIdentityRepo
         x_norm = g.value(x, x) == 1
         u = a + x
         closure = subalgebra_closure(a.algebra, [a, b])
-        pair_unit = all(
-            multiply(u, Element(a.algebra, v)) == Element(a.algebra, v)
-            for v in closure.vectors)
+        pair_unit = all(multiply(u, v) == v for v in map(a.algebra.element, closure.rows))
     else:
         x_idem = x_norm = pair_unit = True  # vacuous-pass
 
@@ -298,10 +296,11 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
 
 
 def _restricted_gram(g: GramForm, span: SubspaceBasis, sub: Algebra) -> GramForm:
-    rows = []
-    for u in span.vectors:
+    """The form on the subspace, in the basis rows / den of ``span``."""
+    rows, d2 = [], span.den * span.den
+    for u in span.rows:
         gu = g.gram.apply(u)
-        rows.append([sum(x * y for x, y in zip(v, gu)) for v in span.vectors])
+        rows.append([sum(x * y for x, y in zip(v, gu)) / d2 for v in span.rows])
     return GramForm(sub, Matrix(rows))
 
 
@@ -439,7 +438,7 @@ def special_chain(A: Algebra, G: Sequence[Element], g: GramForm) -> SpecialChain
         raise NotUnit("the algebra has no unit")
     result = capacity_decomposition(A, G, e, g)
     links: list[ChainLink] = []
-    current = SubspaceBasis(A.dim, Matrix.identity(A.dim).entries())
+    current = SubspaceBasis(A.dim, [b.num for b in A.basis_elements()])
     for pivot in result.summands:
         links.append(ChainLink(subspace=current, special_axis=pivot))
         current = current.intersection(eigendecompose(pivot).v0)

@@ -24,6 +24,7 @@ from axialq import (
     frobenius_projection,
     frobenius_solve,
     make_algebra,
+    peirce_components,
 )
 from axialq.constructions import (
     matrix_jordan,
@@ -213,6 +214,12 @@ def isomorphic_by(A: Algebra, B: Algebra, perm) -> bool:
         return tuple(y)
 
     return sorted(map(image, A.designated_axes)) == sorted(x.coords for x in B.designated_axes)
+
+
+def miyamoto_image(dec, x: Element) -> Element:
+    """The Miyamoto involution of dec's axis at x: tau(x) = x - 2 x_half, which fixes
+    A_0 + A_1 and negates A_1/2, with x_half from ``peirce_components``."""
+    return x - 2 * peirce_components(dec, x)[1]
 
 
 def fusion_break() -> Algebra:

@@ -49,8 +49,6 @@ def test_bench_targets_resolve(monkeypatch):
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# public names that nothing in the library or the bench reaches yet, with the reason each stays
-UNREACHED = {"axial.miyamoto": "ROADMAP item 8"}
 
 
 def test_public_names_have_a_caller():
@@ -67,7 +65,7 @@ def test_public_names_have_a_caller():
     unreached = {f"{name}.{n}" for name in MODULES
                  for n in getattr(importlib.import_module(f"axialq.{name}"), "__all__", ())
                  if n not in read}
-    assert unreached == set(UNREACHED)
+    assert unreached == set()
 
 
 # the package __init__ imports only to re-export; test_package_reexports_exist covers it

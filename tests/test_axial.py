@@ -1,4 +1,4 @@
-"""Axis analysis: eigenspaces, fusion, Miyamoto, Frobenius form, radical."""
+"""Axis analysis: eigenspaces, fusion, Miyamoto involution, Frobenius form, radical."""
 
 import functools
 import itertools
@@ -17,12 +17,13 @@ from axialq import (
     eigendecompose,
     frobenius_projection,
     frobenius_solve,
+    ideal_closure,
     make_algebra,
-    miyamoto,
     multiply,
     peirce_components,
     quasi_definite_basis_check,
     radical,
+    subalgebra_closure,
 )
 from axialq.errors import (
     AlgebraMismatch,
@@ -34,10 +35,18 @@ from axialq.errors import (
     NotSpanning,
 )
 from axialq.axial import _apply
-from axialq.constructions import matrix_jordan, matsuo, sn_transpositions, spin_factor
+from axialq.cli import analyze_findings
+from axialq.constructions import (
+    MatsuoInput,
+    Permutation,
+    matrix_jordan,
+    matsuo,
+    sn_transpositions,
+    spin_factor,
+)
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
-from conftest import by_name, direct_sum, fusion_break, registry, source_grid
+from conftest import by_name, direct_sum, fusion_break, miyamoto_image, registry, source_grid
 
 F = Fraction
 HALF = F(1, 2)
@@ -305,15 +314,6 @@ def _product_peirce(a, x):
     return x - x1 - xh, xh, x1.coords[p] / a.coords[p]
 
 
-def _product_miyamoto(a):
-    """Column j is e_j - 8(a e_j - a(a e_j))."""
-    cols = []
-    for e in a.algebra.basis_elements():
-        ae = multiply(a, e)
-        cols.append((e - 8 * (ae - multiply(a, ae))).coords)
-    return Matrix(list(zip(*cols)))
-
-
 def test_axis_checks_read_only_the_integer_ad_matrix(monkeypatch):
     from axialq import algcore
     algebras = [matsuo(sn_transpositions(4))[0], spin_factor([1, 4, 9])]
@@ -334,22 +334,20 @@ def test_axis_checks_read_only_the_integer_ad_matrix(monkeypatch):
         axes = list(algebras[0].designated_axes)
         assert frobenius_projection(algebras[0], axes).value(axes[0], axes[0]) == 1
     components = [_product_peirce(a, x) for a, x in pairs]
-    involutions = [_product_miyamoto(a) for A in algebras for a in A.designated_axes]
     monkeypatch.setattr(algcore, "multiply", fraction_path)
     assert [peirce_components(eigendecompose(a), x) for a, x in pairs] == components
-    assert [miyamoto(eigendecompose(a))
-            for A in algebras for a in A.designated_axes] == involutions
 
 
 def test_fusion_reads_the_integer_eigenvectors_kept_on_the_decomposition(monkeypatch):
     from axialq import axial
-    from axialq.exactla import _integral
     algebras = [matsuo(sn_transpositions(4))[0], spin_factor([1, 4, 9]), fusion_break()]
     decs = [eigendecompose(a) for A in algebras for a in A.designated_axes]
     for dec in decs:
-        spaces = (dec.v0, dec.v_half, dec.v1)
-        assert dec.sparse == tuple(tuple([(i, x) for i, x in enumerate(_integral(v)[1]) if x]
-                                         for v in space.vectors) for space in spaces)
+        for space in (dec.v0, dec.v_half, dec.v1):
+            # the reduced echelon rows over their least common denominator
+            assert all(type(x) is int for row in space.rows for x in row)
+            assert math.gcd(space.den, *(x for row in space.rows for x in row)) == 1
+            assert space.rows == tuple(tuple(x * space.den for x in v) for v in space.vectors)
     reports = [check_fusion(dec) for dec in decs]
     assert {r.all_ok for r in reports} == {True, False}
 
@@ -357,6 +355,7 @@ def test_fusion_reads_the_integer_eigenvectors_kept_on_the_decomposition(monkeyp
         raise AssertionError("an eigenvector scaled to integers again")
 
     monkeypatch.setattr(axial, "_integral", rescale)
+    monkeypatch.setattr(SubspaceBasis, "vectors", property(rescale))
     assert [check_fusion(dec) for dec in decs] == reports
 
 
@@ -389,23 +388,20 @@ def test_axis_checks_match_fraction_oracle_on_random_algebras(A):
 
 
 def test_miyamoto_is_order_two_automorphism():
+    """tau(x) = x - 2 x_half (Miyamoto, J. Algebra 179, 1996)."""
     for name in ("spin_11", "matsuo_s4", "m2", "h3p"):
         A = by_name(name).A
+        basis = A.basis_elements()
         for a in A.designated_axes:
             dec = eigendecompose(a)
-            c = miyamoto(dec)
-            assert all(c.apply(c.apply(e)) == e for e in Matrix.identity(A.dim).entries())
+            tau = functools.partial(miyamoto_image, dec)
+            assert all(tau(tau(e)) == e for e in basis)
             # fixes the axis, negates the odd part
-            assert c.apply(a.coords) == a.coords
-            for v in dec.v_half.vectors:
-                assert c.apply(v) == tuple(-x for x in v)
-            for i in range(A.dim):
-                for j in range(i, A.dim):
-                    ei, ej = A.basis_element(i), A.basis_element(j)
-                    lhs = A.element(c.apply(multiply(ei, ej).coords))
-                    rhs = multiply(A.element(c.apply(ei.coords)),
-                                   A.element(c.apply(ej.coords)))
-                    assert lhs == rhs
+            assert tau(a) == a
+            for v in map(A.element, dec.v_half.vectors):
+                assert tau(v) == -v
+            for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
+                assert tau(multiply(basis[i], basis[j])) == multiply(tau(basis[i]), tau(basis[j]))
 
 
 def test_peirce_components_reassemble():
@@ -499,7 +495,7 @@ def test_frobenius_solve_free_dim_of_unnormalized_summand():
     assert g.gram == Matrix([[F(1), z], [z, z]])  # the free (f, f) is set to 0
     g, free = frobenius_solve(A, [e, f])
     assert free == 0
-    assert g.gram == Matrix.identity(2)
+    assert g.gram == Matrix([[F(1), z], [z, F(1)]])
     # larger algebras with free unknowns, against the full n^3 system
     S, pool = _axis_pools()["matsuo_s3+twogen_14"]
     B0, b0_axes = _axis_pools()["twogen_0"]
@@ -678,6 +674,56 @@ def test_radical_rejects_non_ideal_kernel():
                                [F(0), F(0), F(2)]]))
     with pytest.raises(InvariantViolation):
         radical(A, fake)
+
+
+def test_subspace_work_leaves_the_fraction_view_unbuilt(monkeypatch):
+    """Axis checks, fusion, both closures and the radical run on the integer rows: no
+    SubspaceBasis they build has its Fraction ``vectors`` read."""
+    built, init = [], SubspaceBasis.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(SubspaceBasis, "__init__", recording)
+    for info in registry():
+        A, axes = info.A, list(info.A.designated_axes)
+        monkeypatch.setattr(A, "decompositions", {})  # decompose afresh
+        for a in axes:
+            report = check_axis(a)
+            if report.semisimple:
+                check_fusion(report.decomposition)
+        subalgebra_closure(A, axes[:2])
+        ideal_closure(A, [axes[0] - axes[-1]])
+        radical(A, info.g)
+    assert len(built) > 100
+    assert not any(hasattr(s, "_vectors") for s in built)
+
+
+def _matsuo_d4():
+    """Matsuo(W(D4)): the 12 reflections s_r(x) = x - (x, r) r in the positive roots
+    r = e_i +- e_j, i < j, as permutations of the 24 roots +-e_i +-e_j of D4."""
+    roots = [tuple(s * (k == i) + t * (k == j) for k in range(4))
+             for i, j in itertools.combinations(range(4), 2) for s in (1, -1) for t in (1, -1)]
+    index = {r: n for n, r in enumerate(roots)}
+
+    def reflection(r):
+        return Permutation([index[tuple(x - sum(map(math.prod, zip(v, r))) * y
+                                        for x, y in zip(v, r))] for v in roots])
+
+    positive = [r for r in roots if next(x for x in r if x) > 0]
+    return matsuo(MatsuoInput(len(roots), tuple(map(reflection, positive))))[0]
+
+
+def test_matsuo_d4_has_a_nonzero_radical_ideal():
+    """Gram rank 10 = 4 * 5 / 2 of dimension 12: the radical is a nonzero ideal, so
+    the algebra is not Jordan, and it still has a unit."""
+    A = _matsuo_d4()
+    assert A.dim == 12
+    findings = analyze_findings(A, {})
+    assert findings["radical_dim"] == 2 and not findings["semisimple"]
+    assert findings["jordan"] is False and findings["unit"] is not None
+    assert all(axis["primitive"] and axis["fusion"] for axis in findings["axes"])
 
 
 def test_quasi_definite_basis_check():

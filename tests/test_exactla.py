@@ -286,9 +286,14 @@ def _sympy_rref_rows(sympy, rows):
     return from_sympy(reduced)[:len(pivots)], pivots
 
 
+def _as_int_fraction_and_string(v, q):
+    """v itself, q v as Fractions and q v as strings: one vector up to scale."""
+    return v, [q * x for x in v], [str(q * x) for x in v]
+
+
 @settings(max_examples=150, deadline=None)
-@given(tall_integer_matrices())
-def test_integer_kernel_and_subspace_match_sympy(sympy, rows):
+@given(tall_integer_matrices(), st.data())
+def test_integer_kernel_and_subspace_match_sympy(sympy, rows, data):
     ncols = len(rows[0])
     m = Matrix._from_rows(tuple(tuple(r) for r in rows), ncols)
     null = [list(v) for v in sympy.Matrix(rows).nullspace()]
@@ -300,6 +305,40 @@ def test_integer_kernel_and_subspace_match_sympy(sympy, rows):
     assert span.pivots == tuple(pivots)
     assert span.vectors == rref(m).reduced.entries()[:len(pivots)]
     assert ker.dim + span.dim == ncols
+    # the same span from negated (negative pivots), Fraction and string rows
+    q = F(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    for form in zip(*(_as_int_fraction_and_string([-x for x in r], q) for r in rows)):
+        assert SubspaceBasis(ncols, form) == span
+    # membership, coordinates and lift: v lies in the span iff it adds nothing to the rank
+    entry = st.integers(-6, 6)
+    coeffs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    inside = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(ncols)]
+    outside = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    for v in (inside, outside):
+        expected = sympy.Matrix(rows + [v]).rank() == len(pivots)
+        for form in _as_int_fraction_and_string(v, q):
+            assert span.contains(form) == expected
+            coords = span.coords_of(form)
+            assert (coords is not None) == expected
+            if expected:
+                scaled = [F(x) for x in form]
+                assert coords == tuple(scaled[p] for p in pivots)
+                assert list(span.lift(coords)) == scaled
+                assert span.lift([str(c) for c in coords]) == span.lift(coords)
+    # intersection: sympy's kernel of [U^T | -W^T] gives the combinations of U's rows
+    other = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=3))
+    other += [[sum(c * r[k] for c, r in zip(cs, rows)) for k in range(ncols)]
+              for cs in data.draw(st.lists(st.lists(entry, min_size=len(rows),
+                                                    max_size=len(rows)), max_size=2))]
+    meet = span.intersection(SubspaceBasis(ncols, other))
+    w_reduced = _sympy_rref_rows(sympy, other)[0]
+    expected = []
+    if reduced and w_reduced:
+        u_t = sympy.Matrix(reduced).T
+        stacked = u_t.row_join(-sympy.Matrix(w_reduced).T)
+        expected = [list(u_t * k[:len(reduced), :]) for k in stacked.nullspace()]
+    assert [list(v) for v in meet.vectors] == _sympy_rref_rows(sympy, expected)[0]
+    assert SubspaceBasis(ncols, other).intersection(span) == meet
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,10 +4,10 @@ Everything is exact; a "check" either returns booleans or raises one of the erro
 :mod:`axialq.errors` when a precondition is violated.  ``eigendecompose`` alone builds
 Peirce data, and each algebra keeps what it built, so an axis is decomposed once for the
 lifetime of its algebra.  The eigenspaces are the kernels of the integer ad matrix
-M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  The
-spectrum witness, fusion membership and Peirce components apply M by adding up the columns
-of a vector's nonzero entries, and an axis's projection coefficients are one row vector
-times M: no product with the axis, no further elimination.
+M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  Fusion
+membership and Peirce components apply M by adding up the columns of a vector's nonzero
+entries, the spectrum witness packs each column into one int, and an axis's projection
+coefficients are one row vector times M: no product with the axis, no further elimination.
 ``frobenius_solve`` and ``GramForm.is_invariant`` read the integer invariance equations from
 one function; ``is_invariant`` evaluates them on G scaled once.
 """
@@ -135,12 +135,23 @@ def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> l
     return out
 
 
-def _columns(dec: EigDecomposition, c: int, t: int):
-    """Each column of (cM - t)M.  (2M - s)M = s^2 L(2L - 1), L = ad_axis, is s^2 times
-    the A1-projector if semisimple, and (M - s)M = s^2 L(L - 1)."""
-    n = len(dec.cols)
-    for j in range(n):
-        yield _apply(dec, _apply(dec, [int(i == j) for i in range(n)]), c, t)
+def _spectrum_witness(dec: EigDecomposition) -> bool:
+    """L(2L - 1)(L - 1) = 0 for L = ad_axis, as 2M^3 - 3sM^2 + s^2 M = 0 on packed columns.
+
+    Column j of M packs into one int with entry i at bit w*i.  Packing is linear, and column
+    j of M^(k+1) is the sum of M[i][j] times column i of M^k.  With c1 the largest absolute
+    column sum of M, an entry of M^k is at most c1^k, so one of the polynomial is at most
+    B = 2c1^3 + 3s c1^2 + s^2 c1 < 2^(w-1).  If field h is the highest nonzero one, it is at
+    least 2^(wh) and the fields below sum to at most B(2^(wh) - 1)/(2^w - 1) < 2^(wh): a
+    packed column is 0 exactly when the column is.
+    """
+    s, cols = dec.s, dec.cols
+    c1 = max((sum(abs(x) for _, x in col) for col in cols), default=0)
+    w = (2 * c1 ** 3 + 3 * s * c1 ** 2 + s * s * c1).bit_length() + 1
+    m1 = [sum(x << w * i for i, x in col) for col in cols]
+    m2 = [sum(x * m1[i] for i, x in col) for col in cols]
+    return not any(2 * sum(x * m2[i] for i, x in col) - 3 * s * b + s * s * a
+                   for col, a, b in zip(cols, m1, m2))
 
 
 def primitive_decomposition(a: Element) -> EigDecomposition:
@@ -161,12 +172,11 @@ def check_axis(e: Element) -> AxisReport:
     except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
 
-    # independent spectrum witness: L (2L - 1) (L - 1) = 0, i.e. (M - s)(2M - s) M = 0
-    spectrum_ok = not any(any(_apply(dec, z, 1, dec.s)) for z in _columns(dec, 2, dec.s))
     semisimple = dec.semisimple
     primitive = dec.v1.dim == 1 and not e.is_zero()
     fusion_ok = check_fusion(dec).all_ok if semisimple else False
-    return AxisReport(True, spectrum_ok, semisimple, primitive, fusion_ok, dec)
+    # the spectrum witness is independent of the kernels
+    return AxisReport(True, _spectrum_witness(dec), semisimple, primitive, fusion_ok, dec)
 
 
 def check_fusion(dec: EigDecomposition) -> FusionReport:

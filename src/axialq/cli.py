@@ -46,6 +46,7 @@ __all__ = ["run_command", "main", "analyze_findings", "gram_for", "parse_word"]
 
 DEFAULT_SEED = 20240901
 MAX_WORD_DEPTH = 100  # deepest word tree or parenthesis nesting that parse_word accepts
+_NEGATIVE = re.compile(r"-\d+(/\d+)?(,-?\d+(/\d+)?)*$|-\d*\.\d+$")  # negatives, p/q and lists too
 
 
 def _coords(e: Element) -> list[str]:
@@ -100,7 +101,9 @@ def analyze_findings(A: Algebra, findings: dict) -> dict:
     findings["gram"] = _matrix_strings(g.gram)
     findings["gram_notes"] = notes
     findings["gram_invariant"] = notes["axes_span"] or g.is_invariant()
-    findings["axis_norms"] = [format_rational(g.value(a, a)) for a in A.designated_axes]
+    # on spanning axes frobenius_projection has just checked value(a, a) == 1 on each
+    findings["axis_norms"] = (["1"] * len(A.designated_axes) if notes["axes_span"] else
+                              [format_rational(g.value(a, a)) for a in A.designated_axes])
     rad = radical(A, g)
     findings["radical_dim"] = rad.dim
     findings["semisimple"] = rad.is_zero()
@@ -395,6 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
     for name, (handler, arguments) in COMMANDS.items():
         q = sub.add_parser(name, **({"help": handler.__doc__} if handler.__doc__ else {}))
+        q._negative_number_matcher = _NEGATIVE  # so --alpha -1/3 reads -1/3 as its value
         for flag, options in arguments:
             q.add_argument(flag, **options)
     return p

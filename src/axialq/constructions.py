@@ -58,26 +58,28 @@ class Permutation:
     def degree(self) -> int:
         return len(self.mapping)
 
+    @classmethod
+    def _of(cls, mapping: tuple[int, ...]) -> "Permutation":  # a known bijection: unchecked
+        p = object.__new__(cls)
+        p.mapping = mapping
+        return p
+
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(x) = p(q(x))."""
-        return Permutation(tuple(self.mapping[other.mapping[i]]
-                                 for i in range(self.degree)))
+        if other.degree != self.degree:
+            raise ValueError("permutations of different degrees")
+        return Permutation._of(tuple(map(self.mapping.__getitem__, other.mapping)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation._of(tuple(sorted(range(self.degree), key=self.mapping.__getitem__)))
 
     def is_identity(self) -> bool:
-        return all(self.mapping[i] == i for i in range(self.degree))
+        return self.mapping == tuple(range(self.degree))
 
     def order(self) -> int:
-        p = self
-        k = 1
+        p, k = self, 1
         while not p.is_identity():
-            p = p * self
-            k += 1
+            p, k = p * self, k + 1
         return k
 
     def conjugate_by(self, d: "Permutation") -> "Permutation":

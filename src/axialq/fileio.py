@@ -43,20 +43,24 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+def _rational(c, memo: dict) -> Fraction:
+    """c parsed; a string through memo, so each distinct one is parsed once per file."""
+    if type(c) is not str:
+        return parse_rational(c)
+    return memo[c] if c in memo else memo.setdefault(c, parse_rational(c))
+
+
 def _vector(value, dim: int, what: str, memo: dict) -> list[Fraction]:
     if not isinstance(value, list) or len(value) != dim:
         raise ParseError(f"each of {what} must be a list of {dim} rationals")
-    out = []
-    for c in value:  # in order, so the first bad entry is the one reported
-        if type(c) is str and c not in memo:
-            memo[c] = parse_rational(c)
-        out.append(memo[c] if type(c) is str else parse_rational(c))
-    return out
+    return [_rational(c, memo) for c in value]  # in order: the first bad entry is reported
 
 
 def _cell(value, dim: int, memo: dict) -> list[tuple[int, Fraction]]:
-    """The nonzero (k, c[k]) of one table cell, every entry validated in order."""
-    return [(k, c) for k, c in enumerate(_vector(value, dim, "the table cells", memo)) if c]
+    """The nonzero (k, c[k]) of one table cell in one pass, every entry validated in order."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise ParseError(f"each of the table cells must be a list of {dim} rationals")
+    return [(k, q) for k, c in enumerate(value) if c != "0" and (q := _rational(c, memo))]
 
 
 def _vectors(value, dim: int, what: str, memo: dict) -> list[list[Fraction]]:

@@ -34,7 +34,7 @@ from axialq.errors import (
     NotPrimitiveAxis,
     NotSpanning,
 )
-from axialq.axial import _apply
+from axialq.axial import _apply, _spectrum_witness
 from axialq.cli import analyze_findings
 from axialq.constructions import (
     MatsuoInput,
@@ -43,6 +43,7 @@ from axialq.constructions import (
     matsuo,
     sn_transpositions,
     spin_factor,
+    two_gen_algebra,
 )
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
@@ -385,6 +386,60 @@ def test_axis_checks_match_fraction_oracle_on_random_algebras(A):
         _assert_integer_ad(report.decomposition)
     if report.semisimple:
         assert check_fusion(report.decomposition) == _oracle_fusion(report.decomposition)
+
+
+def _dense_spectrum(e):
+    """L(2L - 1)(L - 1) = 0 on the dense Fraction matrix L = ad_e, built from `multiply`."""
+    n = e.algebra.dim
+    L = list(zip(*(multiply(e, b).coords for b in e.algebra.basis_elements())))
+
+    def times(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    L2 = times(L, L)
+    L3 = times(L2, L)
+    return all(2 * L3[i][j] - 3 * L2[i][j] + L[i][j] == 0 for i in range(n) for j in range(n))
+
+
+def test_spectrum_witness_matches_dense_fraction_product(algebras):
+    """The packed witness against the dense product, on every idempotent among the
+    conftest axes and on the CI file spectrum-break.json, whose e u = u/3 gives ad_e the
+    eigenvalue 1/3."""
+    axes = [a for a in _conftest_axes(algebras) if a.is_idempotent()]
+    assert len(axes) > 50
+    for a in axes:
+        assert _spectrum_witness(eigendecompose(a)) == _dense_spectrum(a), a
+    e = _sparse_algebra(["e", "u"], {(0, 0): {0: 1}, (0, 1): {1: F(1, 3)}}).designated_axes[0]
+    assert _spectrum_witness(eigendecompose(e)) is _dense_spectrum(e) is False
+    assert not check_axis(e).spectrum_ok
+
+
+_HUGE = st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+
+
+@st.composite
+def _huge_constant_axes(draw):
+    """The axes of B(alpha) or of a spin factor of squares, or e with e e = e and
+    e u = lam u + mu e: numerators and denominators up to 10^40.  e passes the witness
+    exactly when lam is 0, 1/2, or 1 with mu = 0."""
+    kind = draw(st.sampled_from(["twogen", "spin", "eigenvalue"]))
+    if kind == "twogen":
+        return list(two_gen_algebra(draw(_HUGE)).designated_axes)
+    if kind == "spin":
+        roots = draw(st.lists(_HUGE.filter(bool), min_size=1, max_size=3))
+        return list(spin_factor([r * r for r in roots]).designated_axes)
+    lam = draw(st.one_of(st.sampled_from([F(0), HALF, F(1)]), _HUGE))
+    mu = draw(st.one_of(st.just(F(0)), _HUGE))
+    return list(_sparse_algebra(["e", "u"], {(0, 0): {0: 1}, (0, 1): {0: mu, 1: lam}})
+                .designated_axes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_huge_constant_axes())
+def test_spectrum_witness_matches_dense_product_on_huge_constants(axes):
+    for a in axes:
+        dec = eigendecompose(a)
+        assert _spectrum_witness(dec) == _dense_spectrum(a) == check_axis(a).spectrum_ok, a
 
 
 def test_miyamoto_is_order_two_automorphism():
@@ -796,23 +851,51 @@ def test_invariance_checked_once_per_analysis(monkeypatch):
 
 
 def test_analyze_forms_each_axis_columns_once(monkeypatch):
-    """The spectrum witness forms every column of (2M - s)M; the projection reads only
-    row p of it, as a row vector times M, so `analyze` forms the columns once per axis."""
+    """The spectrum witness forms every column of M^2 and M^3; the projection reads only
+    row p of (2M - s)M, as a row vector times M, so `analyze` forms the columns once per
+    axis."""
     from axialq import axial
     from axialq.cli import analyze_findings
     A, predicted = matsuo(sn_transpositions(5))
     calls = []
-    original = axial._columns
+    original = axial._spectrum_witness
 
-    def counting(dec, c, t):
+    def counting(dec):
         calls.append(dec.axis)
-        return original(dec, c, t)
+        return original(dec)
 
-    monkeypatch.setattr(axial, "_columns", counting)
+    monkeypatch.setattr(axial, "_spectrum_witness", counting)
     findings = analyze_findings(A, {})
     assert calls == list(A.designated_axes)
     assert findings["gram_notes"]["axes_span"]
     assert findings["gram"] == [[str(x) for x in row] for row in predicted.entries()]
+
+
+def test_analyze_reads_spanning_norms_off_the_projection(monkeypatch):
+    """On spanning axes `frobenius_projection` takes value(a, a) once per axis and raises
+    unless it is 1, so the norms are not taken again; on axes that do not span, `analyze`
+    takes them itself."""
+    import sys
+    from axialq import axial
+    callers = []
+    original = axial.GramForm.value
+
+    def recording(form, x, y):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return original(form, x, y)
+
+    monkeypatch.setattr(axial.GramForm, "value", recording)
+    spanning, _ = matsuo(sn_transpositions(5))
+    not_spanning = spin_factor([1, 4, 9])  # 3 axes in dimension 4
+    for A, caller in ((spanning, "frobenius_projection"), (not_spanning, "analyze_findings")):
+        callers.clear()
+        findings = analyze_findings(A, {})
+        assert findings["gram_notes"]["axes_span"] is (A is spanning)
+        assert findings["axis_norms"] == ["1"] * len(A.designated_axes)
+        assert callers == [caller] * len(A.designated_axes)
 
 
 def test_fusion_checked_only_where_read(monkeypatch):

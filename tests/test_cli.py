@@ -556,6 +556,18 @@ def test_analyze_error_keeps_findings(tmp_path):
     assert f["axes"][0]["primitive"] is False and f["axes"][1]["primitive"] is True
 
 
+def test_analyze_exits_2_when_the_projection_norm_check_fails(tmp_path, monkeypatch):
+    """analyze takes no norm of a spanning axis itself: a form that fails the projection's
+    check (a, a) = 1, forced here through GramForm.value, still ends it with exit 2."""
+    from axialq import axial
+    path = _write_s3(tmp_path)
+    monkeypatch.setattr(axial.GramForm, "value", lambda form, x, y: F(2))
+    report, code = run_command(["analyze", path])
+    assert code == 2 and report.status == "error"
+    assert report.message == "InvariantViolation: projection form is not normalized on an axis"
+    assert len(report.findings["axes"]) == 3 and "axis_norms" not in report.findings
+
+
 def test_exit_code_fail_on_fusion_break(tmp_path):
     path = tmp_path / "fusion-break.json"
     path.write_text(AlgebraFile.from_algebra("fusion-break", fusion_break()).to_json())
@@ -674,6 +686,26 @@ def test_main_writes_json(capsys, tmp_path):
     assert code == 0
     assert payload["status"] == "pass"
     assert payload["findings"]["radical_dim"] == 0
+
+
+@pytest.mark.parametrize("kind, option, value, name", [
+    ("twogen", "--alpha", "-1/3", "B(-1/3)"), ("spin", "--diag", "-1,2", "spin(-1,2)"),
+    ("twogen", "--alpha", "1/4", "B(1/4)"), ("spin", "--diag", "1,4,9", "spin(1,4,9)")])
+def test_construct_reads_a_rational_after_its_option(kind, option, value, name):
+    """argparse would take -1/3 or -1,2 for an option: after a space, as after "=", it is
+    the option's value.  The positive values' reports and files are pinned below."""
+    from axialq.constructions import two_gen_algebra
+    report, code = run_command(["construct", kind, option, value])
+    assert (report, code) == run_command(["construct", kind, f"{option}={value}"])
+    assert code == 0 and report.inputs[option[2:]] == value and report.findings["name"] == name
+    if kind == "twogen":
+        built = AlgebraFile.from_dict(report.findings["algebra"]).algebra
+        assert source_grid(built) == source_grid(two_gen_algebra(parse_rational(value)))
+
+
+def test_construct_names_a_negative_decimal_value():
+    report, code = run_command(["construct", "twogen", "--alpha", "-0.5"])
+    assert code == 2 and report.message == "decimal notation is not allowed, use p/q: '-0.5'"
 
 
 def test_construct_all_factories_roundtrip_report_identical(tmp_path):

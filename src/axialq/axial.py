@@ -173,7 +173,7 @@ def check_axis(e: Element) -> AxisReport:
         return AxisReport(False, False, False, False, False, None)
 
     semisimple = dec.semisimple
-    primitive = dec.v1.dim == 1 and not e.is_zero()
+    primitive = dec.v1.dim == 1
     fusion_ok = check_fusion(dec).all_ok if semisimple else False
     # the spectrum witness is independent of the kernels
     return AxisReport(True, _spectrum_witness(dec), semisimple, primitive, fusion_ok, dec)

@@ -70,22 +70,6 @@ class Permutation:
             raise ValueError("permutations of different degrees")
         return Permutation._of(tuple(map(self.mapping.__getitem__, other.mapping)))
 
-    def inverse(self) -> "Permutation":
-        return Permutation._of(tuple(sorted(range(self.degree), key=self.mapping.__getitem__)))
-
-    def is_identity(self) -> bool:
-        return self.mapping == tuple(range(self.degree))
-
-    def order(self) -> int:
-        p, k = self, 1
-        while not p.is_identity():
-            p, k = p * self, k + 1
-        return k
-
-    def conjugate_by(self, d: "Permutation") -> "Permutation":
-        """c^d = d^-1 c d."""
-        return d.inverse() * self * d
-
     def cycle_string(self) -> str:
         seen = [False] * self.degree
         parts = []
@@ -113,26 +97,43 @@ class Permutation:
         return f"Permutation{self.cycle_string()}"
 
 
+def _conjugate(c: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
+    """The mapping of c^d = d c d for an involution d (d^-1 = d) of c's degree, in one pass:
+    x -> d(c(d(x)))."""
+    return tuple([d[c[x]] for x in d])
+
+
 class MatsuoInput(NamedTuple):
-    """A set D of involutions with pairwise product orders in {1, 2, 3}."""
+    """A set D of distinct involutions with pairwise product orders in {2, 3}."""
 
     degree: int
     involutions: tuple[Permutation, ...]
 
-    def validate(self) -> dict[tuple[int, int], int]:
-        """Check D and return the order of c_i c_j for every i < j."""
+    def validate(self) -> dict[tuple[int, int], Permutation]:
+        """Check D and return c^d = d c d for every pair c = D[i], d = D[j], i < j, with |cd| = 3.
+
+        Distinct involutions commute iff c^d = c; otherwise |cd| = 3 iff c^d = d^c (the
+        braid relation cdc = dcd).  So a pair costs at most two conjugations, whatever
+        its order, and an involution one product."""
+        identity = tuple(range(self.degree))
         for p in self.involutions:
             if p.degree != self.degree:
                 raise ValueError("permutation degree mismatch")
-            if p.order() != 2:
+            if p.mapping == identity or (p * p).mapping != identity:
                 raise NotInvolution(f"{p!r} does not have order 2")
-        D, orders = self.involutions, {}
+        D, conjugates = self.involutions, {}
         for i, c in enumerate(D):
             for j in range(i + 1, len(D)):
-                orders[i, j] = order = (c * D[j]).order()
-                if order > 3:
-                    raise BadProductOrder(f"|{c!r} {D[j]!r}| > 3")
-        return orders
+                d = D[j]
+                if c == d:
+                    raise BadProductOrder(f"|{c!r} {d!r}| = 1")
+                conj = _conjugate(c.mapping, d.mapping)
+                if conj == c.mapping:
+                    continue
+                if conj != _conjugate(d.mapping, c.mapping):
+                    raise BadProductOrder(f"|{c!r} {d!r}| > 3")
+                conjugates[i, j] = Permutation._of(conj)
+        return conjugates
 
 
 def _is_square(q: Fraction) -> Optional[Fraction]:
@@ -304,30 +305,18 @@ def matsuo(inp: MatsuoInput) -> tuple[Algebra, Matrix]:
     (c + d - c^d)/4 when |cd| = 3, with c^d = d c d: the Matsuo algebra
     of Jordan type 1/2, whose form value on such a pair is 1/4.
     """
-    orders = inp.validate()
+    conjugates = inp.validate()
     D = list(inp.involutions)
     dim = len(D)
     pos = {p: k for k, p in enumerate(D)}
     quarter = Fraction(1, 4)
-    cells = {}
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    for i, c in enumerate(D):
-        cells[i, i] = [(i, 1)]
-        gram[i][i] = Fraction(1)
-        for j in range(i + 1, dim):
-            d = D[j]
-            order = orders[i, j]
-            if order == 2:
-                pass  # product 0, form 0
-            elif order == 3:
-                conj = c.conjugate_by(d)
-                if conj not in pos:
-                    raise ConjugacyClosureError(
-                        f"{conj!r} = c^d is not in the involution set")
-                cells[i, j] = [(i, quarter), (j, quarter), (pos[conj], -quarter)]
-                gram[i][j] = gram[j][i] = quarter
-            else:
-                raise BadProductOrder(f"|{c!r} {d!r}| = {order}")
+    cells = {(i, i): [(i, 1)] for i in range(dim)}
+    gram = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for (i, j), conj in conjugates.items():  # |cd| = 2 leaves product 0, form 0
+        if conj not in pos:
+            raise ConjugacyClosureError(f"{conj!r} = c^d is not in the involution set")
+        cells[i, j] = [(i, quarter), (j, quarter), (pos[conj], -quarter)]
+        gram[i][j] = gram[j][i] = quarter
     names = [p.cycle_string() for p in D]
     axes = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return make_algebra(dim, names, cells, axes), Matrix(gram)

@@ -27,6 +27,8 @@ from axialq import (
     peirce_components,
 )
 from axialq.constructions import (
+    MatsuoInput,
+    Permutation,
     matrix_jordan,
     matsuo,
     sn_transpositions,
@@ -220,6 +222,42 @@ def miyamoto_image(dec, x: Element) -> Element:
     """The Miyamoto involution of dec's axis at x: tau(x) = x - 2 x_half, which fixes
     A_0 + A_1 and negates A_1/2, with x_half from ``peirce_components``."""
     return x - 2 * peirce_components(dec, x)[1]
+
+
+def dynkin_cartan(family: str, n: int) -> list[list[int]]:
+    """The Cartan matrix 2I - adjacency of the Dynkin diagram D_n (n >= 4) or E_n (n = 6, 7,
+    8), the latter with the chain 0 - 2 - 3 - ... - (n - 1) and the branch 1 - 3."""
+    if family == "D":
+        edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    else:
+        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    return cartan
+
+
+def weyl_reflections(cartan: list[list[int]]) -> MatsuoInput:
+    """The reflections s_r(v) = v - (v, r) r in the positive roots r of a simply-laced root
+    system, as permutations of all its roots.  Roots are integer coordinates over the simple
+    roots, (u, v) = u^T C v for the Cartan matrix C, and the roots are the orbit of the simple
+    roots under the simple reflections, listed in sorted order."""
+    n = len(cartan)
+
+    def reflect(v, r):
+        k = sum(v[i] * cartan[i][j] * r[j] for i in range(n) for j in range(n))
+        return tuple(x - k * y for x, y in zip(v, r))
+
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, frontier = set(simple), simple
+    while frontier:
+        frontier = {w for v in frontier for s in simple if (w := reflect(v, s)) not in roots}
+        roots |= frontier
+    roots = sorted(roots)
+    index = {r: k for k, r in enumerate(roots)}
+    positive = [r for r in roots if sum(r) > 0]
+    return MatsuoInput(len(roots), tuple(Permutation([index[reflect(v, r)] for v in roots])
+                                         for r in positive))
 
 
 def fusion_break() -> Algebra:

@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from axialq import (
     SubspaceBasis,
@@ -319,9 +320,9 @@ def test_criterion_10_cli_contract(tmp_path):
         first, c1 = run_command(["analyze", path])
         assert c1 == 0, argv
         # serialize -> parse -> serialize -> analyze is report-identical
-        af = AlgebraFile.from_json(open(path).read())
+        af = AlgebraFile.from_json(Path(path).read_text())
         path2 = str(tmp_path / f"f{i}b.json")
-        open(path2, "w").write(af.to_json())
+        Path(path2).write_text(af.to_json())
         second, c2 = run_command(["analyze", path2])
         assert c2 == 0, argv
         assert first.findings == second.findings, argv

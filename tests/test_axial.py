@@ -37,8 +37,6 @@ from axialq.errors import (
 from axialq.axial import _apply, _spectrum_witness
 from axialq.cli import analyze_findings
 from axialq.constructions import (
-    MatsuoInput,
-    Permutation,
     matrix_jordan,
     matsuo,
     sn_transpositions,
@@ -47,7 +45,16 @@ from axialq.constructions import (
 )
 from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
-from conftest import by_name, direct_sum, fusion_break, miyamoto_image, registry, source_grid
+from conftest import (
+    by_name,
+    direct_sum,
+    dynkin_cartan,
+    fusion_break,
+    miyamoto_image,
+    registry,
+    source_grid,
+    weyl_reflections,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -89,6 +96,14 @@ def test_check_axis_flags_non_primitive():
     info = by_name("matsuo_s3")
     rep = check_axis(info.unit)  # idempotent but 1-eigenspace is everything
     assert rep.is_idempotent and rep.semisimple and not rep.primitive
+
+
+def test_check_axis_on_zero():
+    """0 is idempotent; its 1-eigenspace, ker(M - s) with M = 0 and s = 1, is 0."""
+    for info in by_name("matsuo_s3"), by_name("twogen_0"):
+        rep = check_axis(info.A.zero())
+        assert rep.is_idempotent and not rep.primitive and not rep.is_primitive_axis
+        assert rep.decomposition.v1.dim == 0 and rep.decomposition.v0.dim == info.A.dim
 
 
 def test_check_axis_on_non_idempotent():
@@ -755,25 +770,10 @@ def test_subspace_work_leaves_the_fraction_view_unbuilt(monkeypatch):
     assert not any(hasattr(s, "_vectors") for s in built)
 
 
-def _matsuo_d4():
-    """Matsuo(W(D4)): the 12 reflections s_r(x) = x - (x, r) r in the positive roots
-    r = e_i +- e_j, i < j, as permutations of the 24 roots +-e_i +-e_j of D4."""
-    roots = [tuple(s * (k == i) + t * (k == j) for k in range(4))
-             for i, j in itertools.combinations(range(4), 2) for s in (1, -1) for t in (1, -1)]
-    index = {r: n for n, r in enumerate(roots)}
-
-    def reflection(r):
-        return Permutation([index[tuple(x - sum(map(math.prod, zip(v, r))) * y
-                                        for x, y in zip(v, r))] for v in roots])
-
-    positive = [r for r in roots if next(x for x in r if x) > 0]
-    return matsuo(MatsuoInput(len(roots), tuple(map(reflection, positive))))[0]
-
-
 def test_matsuo_d4_has_a_nonzero_radical_ideal():
     """Gram rank 10 = 4 * 5 / 2 of dimension 12: the radical is a nonzero ideal, so
     the algebra is not Jordan, and it still has a unit."""
-    A = _matsuo_d4()
+    A, _ = matsuo(weyl_reflections(dynkin_cartan("D", 4)))
     assert A.dim == 12
     findings = analyze_findings(A, {})
     assert findings["radical_dim"] == 2 and not findings["semisimple"]

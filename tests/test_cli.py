@@ -447,6 +447,46 @@ def test_capacity_names_a_non_integer_generator(tmp_path, spec, bad):
     assert report.message == f"--generators must be an integer, got {bad!r}"
 
 
+def _write_s3_with_generators(tmp_path, picks):
+    """S3's file with a generators field: its axes at the indices picks, in that order."""
+    d = json.loads(Path(_write_s3(tmp_path)).read_text())
+    d["generators"] = [d["axes"][i] for i in picks]
+    path = tmp_path / "s3-generators.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_commands_read_the_files_generators(tmp_path):
+    """capacity, word-axis and chain take a file's generators over its axes: from (1 3),
+    (1 2) the first summand and the word a are (1 3), and (2 3) alone spans no S3."""
+    path = _write_s3_with_generators(tmp_path, [2, 0])
+    report, code = run_command(["capacity", path])
+    assert code == 0 and report.findings["summands"] == [["0", "0", "1"], ["2/3", "2/3", "-1/3"]]
+    report, code = run_command(["word-axis", path, "--word", "a"])
+    assert code == 0 and report.findings["axis"] == ["0", "0", "1"]
+    report, code = run_command(["chain", _write_s3_with_generators(tmp_path, [1])])
+    assert code == 2 and report.message == "NotSpanning: the generators do not generate the algebra"
+
+
+@pytest.mark.parametrize("argv", [["capacity"], ["word-axis", "--word", "a"]])
+def test_a_file_without_generators_or_axes_exits_2(tmp_path, argv):
+    d = json.loads(Path(_write_s3(tmp_path)).read_text())
+    d["axes"] = []
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(d))
+    report, code = run_command([argv[0], str(path), *argv[1:]])
+    assert code == 2 and report.status == "error"
+    assert report.message == "AxialError: no generators: the file has neither generators nor axes"
+
+
+def test_verify_draws_no_triple_from_two_axes(tmp_path):
+    path = str(tmp_path / "b14.json")
+    assert run_command(["construct", "twogen", "--alpha", "1/4", "--out", path])[1] == 0
+    report, code = run_command(["verify", "identities", path, "--triples", "3"])
+    assert code == 0 and report.status == "pass"
+    assert report.findings["pairs_checked"] == 1 and report.findings["triple_results"] == []
+
+
 def test_verify_identities(tmp_path):
     path = _write_s3(tmp_path)
     report, code = run_command(["verify", "identities", path,
@@ -678,6 +718,12 @@ def test_construct_matsuo_rejects_degree_below_2(tmp_path, sn):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("kind, n", [("hn", "1"), ("hnprime", "0")])
+def test_construct_hn_rejects_n_below_2(kind, n):
+    report, code = run_command(["construct", kind, "--n", n])
+    assert code == 2 and report.status == "error" and report.message == "n must be >= 2"
+
+
 def test_main_writes_json(capsys, tmp_path):
     path = _write_s3(tmp_path)
     code = main(["radical", path])
@@ -725,9 +771,9 @@ def test_construct_all_factories_roundtrip_report_identical(tmp_path):
         assert code == 0, argv
         first, c1 = run_command(["analyze", path])
         # re-serialize through the parser and analyze again
-        af = AlgebraFile.from_json(open(path).read())
+        af = AlgebraFile.from_json(Path(path).read_text())
         path2 = str(tmp_path / f"alg{i}b.json")
-        open(path2, "w").write(af.to_json())
+        Path(path2).write_text(af.to_json())
         second, c2 = run_command(["analyze", path2])
         assert c1 == c2 == 0, argv
         assert first.findings == second.findings, argv

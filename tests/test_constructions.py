@@ -1,11 +1,14 @@
 """Example-algebra factories: spin factors, matrix Jordan algebras, symmetric
 matrices, Matsuo algebras, the two-generated family, and H_n' = Matsuo(S_n)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axialq import check_axis, find_unit, frobenius_solve, jordan_identity_check, multiply
+from axialq import constructions
 from axialq.constructions import (
     MatsuoInput,
     Permutation,
@@ -25,7 +28,7 @@ from axialq.errors import (
 )
 from axialq.exactla import Matrix
 
-from conftest import by_name, isomorphic_by, source_grid
+from conftest import by_name, dynkin_cartan, isomorphic_by, source_grid, weyl_reflections
 
 F = Fraction
 HALF = F(1, 2)
@@ -36,15 +39,22 @@ HALF = F(1, 2)
 def test_permutation_basics():
     t12 = Permutation.transposition(3, 1, 2)
     t23 = Permutation.transposition(3, 2, 3)
-    assert t12.order() == 2
-    assert (t12 * t23).order() == 3
-    assert t12.inverse() == t12
-    assert t12.conjugate_by(t23) == Permutation.transposition(3, 1, 3)
-    assert t12.cycle_string() == "(1 2)"
-    assert Permutation(range(3)).cycle_string() == "()"
-    assert (t12 * t12).is_identity()
+    t13 = Permutation.transposition(3, 1, 3)
+    identity = Permutation(range(3))
+    assert t12 * t12 == identity  # t12 is its own inverse
+    assert (t12 * t23).mapping == (1, 2, 0)  # (p * q)(x) = p(q(x)): 0 -> 1, 1 -> 2, 2 -> 0
+    assert t12 * t23 * t12 * t23 * t12 * t23 == identity  # |t12 t23| = 3
+    # t12 is an involution, and t12^t23 = t23 t12 t23 = t13 is the conjugate validate returns
+    assert MatsuoInput(3, (t12,)).validate() == {}
+    assert MatsuoInput(3, (t12, t23)).validate() == {(0, 1): t13}
+    assert t23 * t12 * t23 == t13
+    assert t12.cycle_string() == "(1 2)" and repr(t13) == "Permutation(1 3)"
+    assert identity.cycle_string() == "()"
+    assert len({t12, Permutation([1, 0, 2]), t13}) == 2
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+    with pytest.raises(ValueError):
+        t12 * Permutation.transposition(4, 1, 2)
 
 
 def test_matsuo_input_validation():
@@ -59,12 +69,161 @@ def test_matsuo_input_validation():
         MatsuoInput(4, (c, d)).validate()
 
 
+def _blocks(lengths, point):
+    """The permutation of consecutive blocks of the given lengths that sends point i of a
+    block of length p to point point(i, p) mod p of the same block."""
+    mapping, offset = [], 0
+    for p in lengths:
+        mapping += [offset + point(i, p) % p for i in range(p)]
+        offset += p
+    return Permutation(mapping)
+
+
+@pytest.mark.parametrize("primes", [(3, 5, 7, 11, 13, 17),
+                                    (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)])
+def test_matsuo_input_validation_is_bounded(monkeypatch, primes):
+    """A non-involution, or two involutions whose product has order lcm(primes) (255255, or
+    about 3.7e12 with primes up to 37), is rejected after at most one product per
+    permutation and two conjugations per pair, whatever the orders."""
+    passes = []
+    monkeypatch.setattr(Permutation, "__mul__", lambda p, q: passes.append("*") or
+                        Permutation([p.mapping[x] for x in q.mapping]))
+    conjugate = constructions._conjugate
+    monkeypatch.setattr(constructions, "_conjugate", lambda c, d: passes.append("^") or
+                        conjugate(c, d))
+    degree = sum(primes)
+    rotation = _blocks(primes, lambda i, p: i + 1)  # one cycle per block
+    with pytest.raises(NotInvolution) as exc:
+        MatsuoInput(degree, (rotation,)).validate()
+    assert str(exc.value) == f"{rotation!r} does not have order 2" and passes == ["*"]
+    # the reflections i -> -i and i -> 1 - i of each p-gon: their product i -> i - 1
+    c, d = _blocks(primes, lambda i, p: -i), _blocks(primes, lambda i, p: 1 - i)
+    passes.clear()
+    with pytest.raises(BadProductOrder) as exc:
+        MatsuoInput(degree, (c, d)).validate()
+    assert str(exc.value) == f"|{c!r} {d!r}| > 3" and passes == ["*", "*", "^", "^"]
+
+
 def test_matsuo_conjugacy_closure_error():
     # {(1 2), (2 3)} is not closed: (1 2)^(2 3) = (1 3) is missing
     t12 = Permutation.transposition(3, 1, 2)
     t23 = Permutation.transposition(3, 2, 3)
     with pytest.raises(ConjugacyClosureError):
         matsuo(MatsuoInput(3, (t12, t23)))
+
+
+# --- Matsuo input against sympy's product orders -----------------------------------
+
+def _oracle_matsuo(inp):
+    """What matsuo must do with inp, decided from the orders of the products c d that sympy
+    computes: the (exception type, message) it raises, or the dense structure constants and
+    the Gram matrix it builds."""
+    SymPermutation = pytest.importorskip("sympy.combinatorics").Permutation
+    D, n = inp.involutions, inp.degree
+    for p in D:
+        if p.degree != n:
+            return ValueError, "permutation degree mismatch"
+        if SymPermutation(list(p.mapping)).order() != 2:
+            return NotInvolution, f"{p!r} does not have order 2"
+    sym = [SymPermutation(list(p.mapping)) for p in D]
+    order3 = []
+    for i, j in itertools.combinations(range(len(D)), 2):
+        order = (sym[i] * sym[j]).order()
+        if order == 1 or order > 3:
+            return BadProductOrder, f"|{D[i]!r} {D[j]!r}| {'= 1' if order == 1 else '> 3'}"
+        if order == 3:
+            order3.append((i, j))
+    grid = [[[F(0)] * len(D) for _ in D] for _ in D]
+    gram = [[F(int(i == j)) for j in range(len(D))] for i in range(len(D))]
+    for i in range(len(D)):
+        grid[i][i][i] = F(1)
+    for i, j in order3:
+        conj = Permutation((sym[j] * sym[i] * sym[j]).array_form)  # d c d in either order
+        if conj not in D:
+            return ConjugacyClosureError, f"{conj!r} = c^d is not in the involution set"
+        for k, c in ((i, F(1, 4)), (j, F(1, 4)), (D.index(conj), F(-1, 4))):
+            grid[i][j][k] = grid[j][i][k] = c
+        gram[i][j] = gram[j][i] = F(1, 4)
+    return tuple(tuple(map(tuple, plane)) for plane in grid), Matrix(gram)
+
+
+def _matsuo_outcome(inp):
+    try:
+        A, gram = matsuo(inp)
+    except (ValueError, NotInvolution, BadProductOrder, ConjugacyClosureError) as exc:
+        return type(exc), str(exc)
+    return source_grid(A), gram
+
+
+@st.composite
+def _involution_sets(draw):
+    """Up to 6 permutations of 2 to 6 points, drawn from a pool of at most 4, so repeats are
+    common: products of disjoint transpositions, with now and then the identity, a
+    permutation of any cycle type or one of a point more; or the transpositions within the
+    blocks of a partition of the points, which make a 3-transposition set, or some of them."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+        points = iter(draw(st.permutations(range(n + sum(sizes)))))
+        blocks = [[next(points) for _ in range(k)] for k in sizes]
+        invs = [Permutation.transposition(n + sum(sizes), a + 1, b + 1)
+                for block in blocks for a, b in itertools.combinations(block, 2)]
+        invs = draw(st.permutations(invs))
+        if draw(st.booleans()):  # a subset, which need not be closed under conjugation
+            invs = invs[:draw(st.integers(0, len(invs)))]
+        return MatsuoInput(n + sum(sizes), tuple(invs))
+
+    def permutation():
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            return Permutation(draw(st.permutations(range(n))))
+        m = n + (kind == 1)
+        points = draw(st.permutations(range(m)))
+        mapping = list(range(m))
+        swaps = 0 if kind == 2 else draw(st.integers(1, m // 2))
+        for a, b in itertools.islice(zip(points[::2], points[1::2]), swaps):
+            mapping[a], mapping[b] = b, a
+        return Permutation(mapping)
+
+    pool = [permutation() for _ in range(draw(st.integers(1, 4)))]
+    return MatsuoInput(n, tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_involution_sets())
+def test_matsuo_matches_the_product_order_oracle(inp):
+    assert _matsuo_outcome(inp) == _oracle_matsuo(inp)
+
+
+def _t(n, i, j):
+    return Permutation.transposition(n, i, j)
+
+
+@pytest.mark.parametrize("inp, kind", [
+    (MatsuoInput(3, (_t(3, 1, 2), _t(3, 2, 3), _t(3, 1, 2))), BadProductOrder),  # = 1
+    (MatsuoInput(3, (_t(3, 1, 2), Permutation(range(3)))), NotInvolution),      # identity
+    (MatsuoInput(3, (_t(3, 1, 2), _t(4, 1, 2))), ValueError),                    # degree
+    (MatsuoInput(4, (Permutation([1, 0, 3, 2]), _t(4, 1, 3))), BadProductOrder),  # order 4
+    (MatsuoInput(5, (Permutation([1, 0, 3, 2, 4]), Permutation([0, 2, 1, 4, 3]))),
+     BadProductOrder),                                                              # order 5
+    (MatsuoInput(5, (_t(5, 1, 2), Permutation([0, 2, 1, 4, 3]))), BadProductOrder),  # order 6
+    (MatsuoInput(3, (_t(3, 1, 2), _t(3, 2, 3))), ConjugacyClosureError),
+    (sn_transpositions(5), None),
+])
+def test_matsuo_matches_the_oracle_on_each_outcome(inp, kind):
+    expected = _oracle_matsuo(inp)
+    assert _matsuo_outcome(inp) == expected
+    assert expected[0] is kind if kind else isinstance(expected[1], Matrix)
+
+
+@pytest.mark.parametrize("family, rank", [("D", 4), ("D", 5), ("E", 6)])
+def test_matsuo_of_weyl_reflections_matches_the_oracle(family, rank):
+    inp = weyl_reflections(dynkin_cartan(family, rank))
+    grid, gram = _oracle_matsuo(inp)
+    assert _matsuo_outcome(inp) == (grid, gram)
+    # every reflection fails to commute with 2(h - 2) others, h the Coxeter number
+    h = {("D", 4): 6, ("D", 5): 8, ("E", 6): 12}[family, rank]
+    assert all(sum(1 for x in row if x == F(1, 4)) == 2 * (h - 2) for row in gram.entries())
 
 
 # --- spin factors ------------------------------------------------------------

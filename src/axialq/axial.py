@@ -284,6 +284,9 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     stacks the axis coordinate rows; one elimination of [P | F] reads it off.
     Row a of F is row p of (2M - s)M / (s^2 a_p), p the pivot of v1 = <a>: the row
     vector (2 M[p, :] - s e_p) times M, read off the columns of M.
+
+    After the two rank checks P G = F holds exactly, so a^T G = F_a and (a, a) = F_a a =
+    (P1 a)_p / a_p = 1 for P1 = (2M - s)M / s^2, the projector onto <a> (M a = s a).
     """
     decs = []
     for a in spanning_axes:
@@ -307,9 +310,6 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     form = GramForm(A, Matrix([row[n:] for row in res.reduced.entries()[:n]]))
     if not form.is_invariant():
         raise InvariantViolation("projection form is not invariant")
-    for a in spanning_axes:
-        if form.value(a, a) != 1:
-            raise InvariantViolation("projection form is not normalized on an axis")
     return form
 
 
@@ -317,10 +317,10 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
     """Frobenius form as the solution of the invariance + normalization system.
 
     The unknowns are the Gram entries g(i, j), i <= j.  The nonzero rows of
-    ``_invariance_equations`` span every (e_i e_j, e_k) = (e_i, e_j e_k) at
-    half the n^3 rows, so the canonical elimination, and the solution read
-    off it, is that of the full system.  Each axis adds the row (a, a) = 1, in integers
-    as (a.num, a.num) = a.den^2, so the whole system stays integral.
+    ``_invariance_equations`` span every (e_i e_j, e_k) = (e_i, e_j e_k) at half the n^3
+    rows, so the canonical elimination, and the solution read off it, is that of the full
+    system.  Each axis adds the row (a, a) = 1, in integers as (a.num, a.num) = a.den^2, so
+    the system stays integral and the form is normalized on every axis given, exactly.
     Returns a solution, with free unknowns set to 0, together with the
     dimension of the homogeneous solution space (0 means the form is unique).
     """

@@ -57,16 +57,18 @@ def _matrix_strings(m: Matrix) -> list[list[str]]:
     return [[format_rational(c) for c in row] for row in m.entries()]
 
 
-def gram_for(A: Algebra) -> tuple[GramForm, dict]:
-    """Frobenius form of A from its designated axes, with provenance notes.
+def gram_for(A: Algebra, generators: Sequence[Element] = ()) -> tuple[GramForm, dict]:
+    """Frobenius form of A, with provenance notes, from its designated axes or else generators.
 
     Axes that do not span A leave the form to the linear solve.  Spanning
     axes fix it: for a primitive axis a and an invariant h with h(a, a) = 1,
     h(a, y0) = h(a, a y0) = 0 and h(a, y1/2) = h(a, a y1/2) = h(a, y1/2)/2,
     so h(a, y) = phi_a(y), the coefficient of a in y, and the projection form
     is the unique solution.  If it fails the solve runs first: Inconsistent wins.
+    Either way (a, a) = 1 on every axis used, by construction: the solve has
+    the row (a, a) = 1 for each, and the projection solves a^T G = phi_a exactly.
     """
-    axes = list(A.designated_axes)
+    axes = list(A.designated_axes) or list(generators)
     if not axes:
         raise AxialError("the algebra has no designated axes")
     if rref(Matrix([a.coords for a in axes])).rank != A.dim:
@@ -101,9 +103,7 @@ def analyze_findings(A: Algebra, findings: dict) -> dict:
     findings["gram"] = _matrix_strings(g.gram)
     findings["gram_notes"] = notes
     findings["gram_invariant"] = notes["axes_span"] or g.is_invariant()
-    # on spanning axes frobenius_projection has just checked value(a, a) == 1 on each
-    findings["axis_norms"] = (["1"] * len(A.designated_axes) if notes["axes_span"] else
-                              [format_rational(g.value(a, a)) for a in A.designated_axes])
+    findings["axis_norms"] = ["1"] * len(A.designated_axes)  # (a, a) = 1 by gram_for
     rad = radical(A, g)
     findings["radical_dim"] = rad.dim
     findings["semisimple"] = rad.is_zero()
@@ -117,8 +117,7 @@ def _analyze(af: AlgebraFile, args, findings: dict) -> bool:
     analyze_findings(af.algebra, findings)
     axis_ok = all(a["idempotent"] and a["semisimple"] and a["primitive"] and a["fusion"]
                   for a in findings["axes"])
-    norms_ok = all(v == "1" for v in findings["axis_norms"])
-    return axis_ok and findings["gram_invariant"] and norms_ok and findings["jordan"]
+    return axis_ok and findings["gram_invariant"] and findings["jordan"]
 
 
 def _construct(_, args, findings: dict) -> bool:
@@ -271,7 +270,7 @@ def _radical(af: AlgebraFile, args, findings: dict) -> bool:
 def _capacity(af: AlgebraFile, args, findings: dict) -> bool:
     A = af.algebra
     gens = _generators(af, args.generators)
-    g, _ = gram_for(A)
+    g, _ = gram_for(A, gens)
     e = find_unit(A)
     if e is None:
         raise NotUnit("the algebra has no unit")
@@ -283,8 +282,9 @@ def _capacity(af: AlgebraFile, args, findings: dict) -> bool:
 
 
 def _chain(af: AlgebraFile, args, findings: dict) -> bool:
-    g, _ = gram_for(af.algebra)
-    findings["dims"] = special_chain(af.algebra, _generators(af, None), g).dims
+    gens = _generators(af, None)
+    g, _ = gram_for(af.algebra, gens)
+    findings["dims"] = special_chain(af.algebra, gens, g).dims
     return True
 
 
@@ -345,7 +345,7 @@ def _word_axis(af: AlgebraFile, args, findings: dict) -> bool:
     A = af.algebra
     gens = _generators(af, None)
     word = parse_word(args.word, _generator_names(len(gens)))
-    g, _ = gram_for(A)
+    g, _ = gram_for(A, gens)
     axis, scale, corr = word_to_axis(A, gens, word, g)
     rep = check_axis(axis)
     findings.update(axis=_coords(axis), scale=format_rational(scale),

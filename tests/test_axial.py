@@ -541,6 +541,36 @@ def test_form_is_symmetric_invariant_normalized(algebras):
             assert g.value(a, a) == 1
 
 
+def _unit_norms(g: GramForm, axes) -> bool:
+    """(a, a) = 1 on every axis, as a^T G a in plain Fractions from a.coords and the Gram
+    entries, never through GramForm.value."""
+    gram = g.gram.entries()
+    return all(sum(x * gram[i][j] * y for i, x in enumerate(a.coords) if x
+                   for j, y in enumerate(a.coords) if y) == 1 for a in axes)
+
+
+def test_both_constructions_are_normalized_on_their_axes(algebras):
+    """Neither construction evaluates the form on its axes: the solve has the row (a, a) = 1
+    for each axis, and the projection solves a^T G = phi_a exactly."""
+    for info in algebras:
+        axes = list(info.A.designated_axes)
+        assert _unit_norms(frobenius_solve(info.A, axes)[0], axes), info.name
+        if info.spanning_axes is not None:
+            span = list(info.spanning_axes)
+            assert _unit_norms(frobenius_projection(info.A, span), span), info.name
+
+
+@pytest.mark.parametrize("family, rank, solve_too", [("D", 4, True), ("E", 6, False)])
+def test_weyl_matsuo_forms_are_normalized_on_every_reflection(family, rank, solve_too):
+    """Matsuo(W(D4)) through both constructions; W(E6) through the projection only, since its
+    solve has 36 * 37 / 2 = 666 unknowns."""
+    A, _ = matsuo(weyl_reflections(dynkin_cartan(family, rank)))
+    axes = list(A.designated_axes)
+    assert _unit_norms(frobenius_projection(A, axes), axes)
+    if solve_too:
+        assert _unit_norms(frobenius_solve(A, axes)[0], axes)
+
+
 def test_is_invariant_rejects_perturbed_matsuo_gram():
     A, predicted = matsuo(sn_transpositions(4))
     assert GramForm(A, predicted).is_invariant()
@@ -871,31 +901,26 @@ def test_analyze_forms_each_axis_columns_once(monkeypatch):
     assert findings["gram"] == [[str(x) for x in row] for row in predicted.entries()]
 
 
-def test_analyze_reads_spanning_norms_off_the_projection(monkeypatch):
-    """On spanning axes `frobenius_projection` takes value(a, a) once per axis and raises
-    unless it is 1, so the norms are not taken again; on axes that do not span, `analyze`
-    takes them itself."""
-    import sys
+def test_analyze_takes_no_form_value(monkeypatch):
+    """(a, a) = 1 holds by construction on both of gram_for's paths, so analyze evaluates the
+    form on no axis: not on spanning Matsuo(S5), nor on spin(1, 4, 9), whose 3 axes do not
+    span its dimension 4 and leave the form to the solve."""
     from axialq import axial
-    callers = []
+    calls = []
     original = axial.GramForm.value
 
     def recording(form, x, y):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
+        calls.append((x, y))
         return original(form, x, y)
 
     monkeypatch.setattr(axial.GramForm, "value", recording)
     spanning, _ = matsuo(sn_transpositions(5))
-    not_spanning = spin_factor([1, 4, 9])  # 3 axes in dimension 4
-    for A, caller in ((spanning, "frobenius_projection"), (not_spanning, "analyze_findings")):
-        callers.clear()
+    not_spanning = spin_factor([1, 4, 9])
+    for A in (spanning, not_spanning):
         findings = analyze_findings(A, {})
         assert findings["gram_notes"]["axes_span"] is (A is spanning)
         assert findings["axis_norms"] == ["1"] * len(A.designated_axes)
-        assert callers == [caller] * len(A.designated_axes)
+        assert calls == []
 
 
 def test_fusion_checked_only_where_read(monkeypatch):

@@ -468,7 +468,22 @@ def test_commands_read_the_files_generators(tmp_path):
     assert code == 2 and report.message == "NotSpanning: the generators do not generate the algebra"
 
 
-@pytest.mark.parametrize("argv", [["capacity"], ["word-axis", "--word", "a"]])
+def test_commands_take_the_form_from_the_generators_of_a_file_without_axes(tmp_path):
+    """S3's file with its axes moved to generators: the form comes from the generators, and
+    capacity, chain and word-axis find what they find on the original file."""
+    original = _write_s3(tmp_path)
+    d = json.loads(Path(original).read_text())
+    d["generators"], d["axes"] = d["axes"], []
+    moved = tmp_path / "s3-moved.json"
+    moved.write_text(json.dumps(d))
+    for argv in (["capacity"], ["chain"], ["word-axis", "--word", "(a*b)"]):
+        report, code = run_command([argv[0], str(moved), *argv[1:]])
+        expected, _ = run_command([argv[0], original, *argv[1:]])
+        assert code == 0 and report.status == "pass", report.message
+        assert report.findings == expected.findings
+
+
+@pytest.mark.parametrize("argv", [["capacity"], ["chain"], ["word-axis", "--word", "a"]])
 def test_a_file_without_generators_or_axes_exits_2(tmp_path, argv):
     d = json.loads(Path(_write_s3(tmp_path)).read_text())
     d["axes"] = []
@@ -594,18 +609,6 @@ def test_analyze_error_keeps_findings(tmp_path):
     f = report.findings
     assert f["dimension"] == 2 and f["axis_count"] == 2
     assert f["axes"][0]["primitive"] is False and f["axes"][1]["primitive"] is True
-
-
-def test_analyze_exits_2_when_the_projection_norm_check_fails(tmp_path, monkeypatch):
-    """analyze takes no norm of a spanning axis itself: a form that fails the projection's
-    check (a, a) = 1, forced here through GramForm.value, still ends it with exit 2."""
-    from axialq import axial
-    path = _write_s3(tmp_path)
-    monkeypatch.setattr(axial.GramForm, "value", lambda form, x, y: F(2))
-    report, code = run_command(["analyze", path])
-    assert code == 2 and report.status == "error"
-    assert report.message == "InvariantViolation: projection form is not normalized on an axis"
-    assert len(report.findings["axes"]) == 3 and "axis_norms" not in report.findings
 
 
 def test_exit_code_fail_on_fusion_break(tmp_path):

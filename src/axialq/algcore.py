@@ -350,16 +350,19 @@ def jordan_identity_check(A: Algebra) -> bool:
 
     for every i <= j <= k (McCrimmon, A Taste of Jordan Algebras, II.1).
     Commutativity collapses the six permutations of a triple to these three
-    pairings; when i = j the pairing (i, k, i) counts twice.  The
-    commutators are built once from the T of ``A.table``; every term scales
-    by d**3, which keeps zero-ness.
+    pairings; when i = j the pairing (i, k, i) counts twice.  Each
+    commutator is built from the T of ``A.table`` the first time a triple
+    reads it, so a non-Jordan algebra stops at its first failing triple
+    having built only the commutators it read; every term scales by d**3,
+    which keeps zero-ness.
     """
     n = A.dim
     _, table = A.table
     # comm[r, m], r < m: the nonzero (y * n + t, coordinate t of [L_r, L_m] e_y),
     # scaled by d**2; [L_m, L_r] = -[L_r, L_m]
     comm = {}
-    for r, m in itertools.combinations(range(n), 2):
+
+    def commutator(r: int, m: int) -> list:
         left, right, acc = table[r], table[m], {}
         for y in range(n):
             col = y * n
@@ -369,13 +372,17 @@ def jordan_identity_check(A: Algebra) -> bool:
             for k, c in left[y]:
                 for t, v in right[k]:
                     acc[col + t] = acc.get(col + t, 0) - c * v
-        comm[r, m] = [(yt, v) for yt, v in acc.items() if v]
+        return [(yt, v) for yt, v in acc.items() if v]
+
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         acc = {}
         for p, q, r in ((i, j, k), (i, k, j), (j, k, i)):
             for m, c in table[p][q]:
                 if m != r:
-                    entries, c = (comm[r, m], c) if r < m else (comm[m, r], -c)
+                    key, c = ((r, m), c) if r < m else ((m, r), -c)
+                    entries = comm.get(key)
+                    if entries is None:
+                        entries = comm[key] = commutator(*key)
                     for yt, v in entries:
                         acc[yt] = acc.get(yt, 0) + c * v
         if any(acc.values()):

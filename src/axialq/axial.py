@@ -165,8 +165,15 @@ def primitive_decomposition(a: Element) -> EigDecomposition:
     return dec
 
 
-def check_axis(e: Element) -> AxisReport:
-    """Full axis report: idempotency, spectrum, semisimplicity, primitivity, fusion."""
+def check_axis(e: Element, *, jordan: bool = False) -> AxisReport:
+    """Full axis report: idempotency, spectrum, semisimplicity, primitivity, fusion.
+
+    Fusion is ``check_fusion``'s pair-product search, unless the caller has decided that
+    e's algebra satisfies the Jordan identity (``jordan``): there every idempotent's Peirce
+    decomposition obeys the four fusion rules (Jacobson, Structure and Representations of
+    Jordan Algebras, 1968, ch. III; McCrimmon, A Taste of Jordan Algebras, 2004, ch. 8),
+    so a semisimple e passes fusion with no search.
+    """
     try:
         dec = eigendecompose(e)
     except NotIdempotent:
@@ -174,7 +181,7 @@ def check_axis(e: Element) -> AxisReport:
 
     semisimple = dec.semisimple
     primitive = dec.v1.dim == 1
-    fusion_ok = check_fusion(dec).all_ok if semisimple else False
+    fusion_ok = semisimple and (jordan or check_fusion(dec).all_ok)
     # the spectrum witness is independent of the kernels
     return AxisReport(True, _spectrum_witness(dec), semisimple, primitive, fusion_ok, dec)
 

@@ -86,12 +86,15 @@ def analyze_findings(A: Algebra, findings: dict) -> dict:
     """The full analysis pipeline on an in-memory algebra.
 
     Fills findings in place and returns it, so what was found before an
-    error stays in the dict.
+    error stays in the dict.  The Jordan identity is decided first, though
+    reported last: on a Jordan algebra each axis's fusion follows from the
+    Peirce theorem (``check_axis`` with jordan true), otherwise from the search.
     """
     findings.update(dimension=A.dim, axis_count=len(A.designated_axes))
+    jordan = jordan_identity_check(A)
     axis_reports = findings["axes"] = []
     for a in A.designated_axes:
-        rep = check_axis(a)
+        rep = check_axis(a, jordan=jordan)
         axis_reports.append({
             "coords": _coords(a),
             "idempotent": rep.is_idempotent,
@@ -109,7 +112,7 @@ def analyze_findings(A: Algebra, findings: dict) -> dict:
     findings["semisimple"] = rad.is_zero()
     unit = find_unit(A)
     findings["unit"] = _coords(unit) if unit is not None else None
-    findings["jordan"] = jordan_identity_check(A)
+    findings["jordan"] = jordan
     return findings
 
 
@@ -252,14 +255,14 @@ def _count(value, option: str) -> int:
 
 
 def _frobenius(af: AlgebraFile, args, findings: dict) -> bool:
-    g, notes = gram_for(af.algebra)
+    g, notes = gram_for(af.algebra, _generators(af, None))
     invariant = notes["axes_span"] or g.is_invariant()
     findings.update(gram=_matrix_strings(g.gram), notes=notes, invariant=invariant)
     return invariant
 
 
 def _radical(af: AlgebraFile, args, findings: dict) -> bool:
-    g, _ = gram_for(af.algebra)
+    g, _ = gram_for(af.algebra, _generators(af, None))
     rad = radical(af.algebra, g)
     findings.update(radical_dim=rad.dim,
                     radical_basis=[[format_rational(c) for c in v] for v in rad.vectors],
@@ -294,8 +297,9 @@ def _unit(af: AlgebraFile, args, findings: dict) -> bool:
     findings["unit"] = _coords(e) if e is not None else None
     if not args.recursive:
         return True
-    g, _ = gram_for(A)
-    built = build_unit(A, list(A.designated_axes), g)
+    axes = list(A.designated_axes) or _generators(af, None)
+    g, _ = gram_for(A, axes)
+    built = build_unit(A, axes, g)
     findings.update(recursive_unit=_coords(built), agree=built == e)
     return built == e
 

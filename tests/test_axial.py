@@ -924,9 +924,9 @@ def test_analyze_takes_no_form_value(monkeypatch):
 
 
 def test_fusion_checked_only_where_read(monkeypatch):
+    """analyze searches fusion only on a non-Jordan algebra, once per designated axis; on a
+    Jordan algebra the Peirce theorem gives it.  The form, capacity and unit never search."""
     from axialq import axial, build_unit, capacity_decomposition, find_unit
-    from axialq.cli import analyze_findings
-    A, _ = matsuo(sn_transpositions(4))
     calls = []
     original = axial.check_fusion
 
@@ -935,16 +935,40 @@ def test_fusion_checked_only_where_read(monkeypatch):
         return original(dec)
 
     monkeypatch.setattr(axial, "check_fusion", counting)
+    A, _ = matsuo(sn_transpositions(4))
     findings = analyze_findings(A, {})
-    assert all(a["fusion"] for a in findings["axes"])
-    assert calls == list(A.designated_axes)  # one per designated axis
-    calls.clear()
+    assert findings["jordan"] and all(a["fusion"] for a in findings["axes"])
+    assert calls == []
+    for B in (matsuo(weyl_reflections(dynkin_cartan("D", 4)))[0], fusion_break()):
+        findings = analyze_findings(B, {})
+        assert not findings["jordan"]
+        assert calls == list(B.designated_axes)  # one per designated axis
+        calls.clear()
     axes = list(A.designated_axes)
     g, _ = frobenius_solve(A, axes)
     e = find_unit(A)
     capacity_decomposition(A, axes, e, g)
     assert build_unit(A, axes, g) == e
     assert calls == []
+
+
+def test_peirce_theorem_path_matches_the_search():
+    """Every registry algebra is Jordan, so analyze takes each axis's fusion from the Peirce
+    theorem: the search passes on every designated axis, and analyze's axis findings are
+    those of check_axis on the full path."""
+    from axialq import jordan_identity_check
+    from axialq.fileio import format_rational
+    for info in registry():
+        A = info.A
+        assert jordan_identity_check(A), info.name
+        full = []
+        for a in A.designated_axes:
+            assert check_fusion(eigendecompose(a)).all_ok, (info.name, a)
+            rep = check_axis(a)
+            full.append({"coords": [format_rational(c) for c in a.coords],
+                         "idempotent": rep.is_idempotent, "semisimple": rep.semisimple,
+                         "primitive": rep.primitive, "fusion": rep.fusion_ok})
+        assert analyze_findings(A, {})["axes"] == full, info.name
 
 
 def _exact_raise(kind, fn, *args):

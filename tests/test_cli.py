@@ -470,20 +470,26 @@ def test_commands_read_the_files_generators(tmp_path):
 
 def test_commands_take_the_form_from_the_generators_of_a_file_without_axes(tmp_path):
     """S3's file with its axes moved to generators: the form comes from the generators, and
-    capacity, chain and word-axis find what they find on the original file."""
+    every command that builds it finds what it finds on the original file, except analyze
+    and verify, which report on the designated axes and so exit 2."""
     original = _write_s3(tmp_path)
     d = json.loads(Path(original).read_text())
     d["generators"], d["axes"] = d["axes"], []
     moved = tmp_path / "s3-moved.json"
     moved.write_text(json.dumps(d))
-    for argv in (["capacity"], ["chain"], ["word-axis", "--word", "(a*b)"]):
+    for argv in (["frobenius"], ["radical"], ["unit", "--recursive"], ["capacity"], ["chain"],
+                 ["word-axis", "--word", "(a*b)"]):
         report, code = run_command([argv[0], str(moved), *argv[1:]])
         expected, _ = run_command([argv[0], original, *argv[1:]])
         assert code == 0 and report.status == "pass", report.message
         assert report.findings == expected.findings
+    for argv in (["analyze", str(moved)], ["verify", "identities", str(moved)]):
+        report, code = run_command(argv)
+        assert code == 2 and report.message == "AxialError: the algebra has no designated axes"
 
 
-@pytest.mark.parametrize("argv", [["capacity"], ["chain"], ["word-axis", "--word", "a"]])
+@pytest.mark.parametrize("argv", [["capacity"], ["chain"], ["word-axis", "--word", "a"],
+                                  ["frobenius"], ["radical"], ["unit", "--recursive"]])
 def test_a_file_without_generators_or_axes_exits_2(tmp_path, argv):
     d = json.loads(Path(_write_s3(tmp_path)).read_text())
     d["axes"] = []

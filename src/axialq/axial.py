@@ -52,7 +52,11 @@ HALF = Fraction(1, 2)
 
 class EigDecomposition(NamedTuple):
     """Eigenspaces of ad_axis for the candidate eigenvalues 0, 1/2, 1, and M = s * ad_axis in
-    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j])."""
+    integers by columns, s the lcm of its denominators: cols[j] lists the nonzero (i, M[i][j]).
+
+    ``semisimple`` is the spectrum witness L(2L - 1)(L - 1) = 0, L = ad_axis: it holds iff L
+    is diagonalizable with eigenvalues in {0, 1/2, 1}, iff the three kernels sum to A.
+    """
 
     axis: Element
     v0: SubspaceBasis
@@ -60,12 +64,9 @@ class EigDecomposition(NamedTuple):
     v1: SubspaceBasis
     s: int
     cols: tuple[tuple[tuple[int, int], ...], ...]
+    semisimple: bool
 
-    @property
-    def semisimple(self) -> bool:
-        return self.v0.dim + self.v_half.dim + self.v1.dim == self.axis.algebra.dim
-
-    def __repr__(self):  # s and cols are left out
+    def __repr__(self):  # s, cols and semisimple are left out
         return (f"EigDecomposition(axis={self.axis!r}, v0={self.v0!r}, "
                 f"v_half={self.v_half!r}, v1={self.v1!r})")
 
@@ -102,9 +103,9 @@ def eigendecompose(e: Element) -> EigDecomposition:
 
     With (d, T) = ``Algebra.table`` and u = q e integral, column j of d q ad_e is u e_j
     through T; M = s ad_e for s = d q / gcd(d q, its entries), e is idempotent iff
-    M u = s u (u u = d q u), and the kernels are those of M, 2M - s and M - s.  Built
-    once per idempotent and kept in ``Algebra.decompositions`` for the lifetime of its
-    algebra.
+    M u = s u (u u = d q u), and the kernels are those of M, 2M - s and M - s.  Built,
+    spectrum witness included, once per idempotent and kept in ``Algebra.decompositions``
+    for the lifetime of its algebra.
     """
     A, key = e.algebra, (e.num, e.den)
     dec = A.decompositions.get(key)
@@ -121,7 +122,7 @@ def eigendecompose(e: Element) -> EigDecomposition:
                       tuple(c * x - t * (i == j) for j, x in enumerate(row))
                       for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
         m = tuple(tuple((i, x // g) for i, x in _nonzero(col)) for col in cols)
-        dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m)
+        dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m, _spectrum_witness(s, m))
     return dec
 
 
@@ -135,7 +136,7 @@ def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> l
     return out
 
 
-def _spectrum_witness(dec: EigDecomposition) -> bool:
+def _spectrum_witness(s: int, cols: Sequence[Sequence[tuple[int, int]]]) -> bool:
     """L(2L - 1)(L - 1) = 0 for L = ad_axis, as 2M^3 - 3sM^2 + s^2 M = 0 on packed columns.
 
     Column j of M packs into one int with entry i at bit w*i.  Packing is linear, and column
@@ -145,7 +146,6 @@ def _spectrum_witness(dec: EigDecomposition) -> bool:
     least 2^(wh) and the fields below sum to at most B(2^(wh) - 1)/(2^w - 1) < 2^(wh): a
     packed column is 0 exactly when the column is.
     """
-    s, cols = dec.s, dec.cols
     c1 = max((sum(abs(x) for _, x in col) for col in cols), default=0)
     w = (2 * c1 ** 3 + 3 * s * c1 ** 2 + s * s * c1).bit_length() + 1
     m1 = [sum(x << w * i for i, x in col) for col in cols]
@@ -168,8 +168,9 @@ def primitive_decomposition(a: Element) -> EigDecomposition:
 def check_axis(e: Element, *, jordan: bool = False) -> AxisReport:
     """Full axis report: idempotency, spectrum, semisimplicity, primitivity, fusion.
 
-    Fusion is ``check_fusion``'s pair-product search, unless the caller has decided that
-    e's algebra satisfies the Jordan identity (``jordan``): there every idempotent's Peirce
+    Spectrum and semisimplicity are one fact, the decomposition's witness.  Fusion is
+    ``check_fusion``'s pair-product search, unless the caller has decided that e's algebra
+    satisfies the Jordan identity (``jordan``): there every idempotent's Peirce
     decomposition obeys the four fusion rules (Jacobson, Structure and Representations of
     Jordan Algebras, 1968, ch. III; McCrimmon, A Taste of Jordan Algebras, 2004, ch. 8),
     so a semisimple e passes fusion with no search.
@@ -179,11 +180,8 @@ def check_axis(e: Element, *, jordan: bool = False) -> AxisReport:
     except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
 
-    semisimple = dec.semisimple
-    primitive = dec.v1.dim == 1
-    fusion_ok = semisimple and (jordan or check_fusion(dec).all_ok)
-    # the spectrum witness is independent of the kernels
-    return AxisReport(True, _spectrum_witness(dec), semisimple, primitive, fusion_ok, dec)
+    fusion_ok = dec.semisimple and (jordan or check_fusion(dec).all_ok)
+    return AxisReport(True, dec.semisimple, dec.semisimple, dec.v1.dim == 1, fusion_ok, dec)
 
 
 def check_fusion(dec: EigDecomposition) -> FusionReport:
@@ -373,7 +371,7 @@ def quasi_definite_basis_check(
     """All distinct pairs must have form value != 1; returns a witness on failure."""
     if not X:
         raise NotBasisOfAxes("empty axis list")
-    if rref(Matrix([x.num for x in X])).rank != len(X):
+    if SubspaceBasis(X[0].algebra.dim, [x.num for x in X]).dim != len(X):
         raise NotBasisOfAxes("axes are linearly dependent")
     for x in X:
         try:

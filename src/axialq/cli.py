@@ -31,7 +31,7 @@ from .axial import (
     radical,
 )
 from .errors import AxialError, NotUnit, ParseError
-from .exactla import Matrix, rref
+from .exactla import Matrix, SubspaceBasis
 from .fileio import AlgebraFile, Report, atomic_write, format_rational, parse_rational
 from .jordanhalf import (
     build_unit,
@@ -65,13 +65,14 @@ def gram_for(A: Algebra, generators: Sequence[Element] = ()) -> tuple[GramForm, 
     h(a, y0) = h(a, a y0) = 0 and h(a, y1/2) = h(a, a y1/2) = h(a, y1/2)/2,
     so h(a, y) = phi_a(y), the coefficient of a in y, and the projection form
     is the unique solution.  If it fails the solve runs first: Inconsistent wins.
-    Either way (a, a) = 1 on every axis used, by construction: the solve has
-    the row (a, a) = 1 for each, and the projection solves a^T G = phi_a exactly.
+    Either way the form is invariant and (a, a) = 1 on every axis used, by construction:
+    the projection checks invariance and solves a^T G = phi_a exactly, and the solve's
+    rows are the invariance equations and (a, a) = 1, which ``exactla.solve`` satisfies.
     """
     axes = list(A.designated_axes) or list(generators)
     if not axes:
         raise AxialError("the algebra has no designated axes")
-    if rref(Matrix([a.coords for a in axes])).rank != A.dim:
+    if SubspaceBasis(A.dim, [a.num for a in axes]).dim != A.dim:
         g, free_dim = frobenius_solve(A, axes)
         return g, {"solve_free_dim": free_dim, "axes_span": False}
     try:
@@ -105,7 +106,7 @@ def analyze_findings(A: Algebra, findings: dict) -> dict:
     g, notes = gram_for(A)
     findings["gram"] = _matrix_strings(g.gram)
     findings["gram_notes"] = notes
-    findings["gram_invariant"] = notes["axes_span"] or g.is_invariant()
+    findings["gram_invariant"] = True  # by gram_for
     findings["axis_norms"] = ["1"] * len(A.designated_axes)  # (a, a) = 1 by gram_for
     rad = radical(A, g)
     findings["radical_dim"] = rad.dim
@@ -120,7 +121,7 @@ def _analyze(af: AlgebraFile, args, findings: dict) -> bool:
     analyze_findings(af.algebra, findings)
     axis_ok = all(a["idempotent"] and a["semisimple"] and a["primitive"] and a["fusion"]
                   for a in findings["axes"])
-    return axis_ok and findings["gram_invariant"] and findings["jordan"]
+    return axis_ok and findings["jordan"]
 
 
 def _construct(_, args, findings: dict) -> bool:
@@ -256,9 +257,8 @@ def _count(value, option: str) -> int:
 
 def _frobenius(af: AlgebraFile, args, findings: dict) -> bool:
     g, notes = gram_for(af.algebra, _generators(af, None))
-    invariant = notes["axes_span"] or g.is_invariant()
-    findings.update(gram=_matrix_strings(g.gram), notes=notes, invariant=invariant)
-    return invariant
+    findings.update(gram=_matrix_strings(g.gram), notes=notes, invariant=True)  # by gram_for
+    return True
 
 
 def _radical(af: AlgebraFile, args, findings: dict) -> bool:

@@ -22,7 +22,7 @@ from .errors import (
     InvariantViolation,
     NotInvolution,
 )
-from .exactla import Matrix, _integral, rref, vec
+from .exactla import Matrix, SubspaceBasis, _integral, vec
 
 __all__ = [
     "Permutation",
@@ -226,7 +226,7 @@ def matrix_jordan(n: int) -> Algebra:
     if any(sum(a * b for a, b in zip(L, R)) != p * q for p, L, q, R in scaled):
         raise InvariantViolation("rank-1 factor pair is not normalized")
     axes = [[l[i] * r[j] for i in range(n) for j in range(n)] for l, r in pairs]
-    if rref(Matrix(axes)).rank != n * n:
+    if SubspaceBasis(n * n, axes).dim != n * n:
         raise InvariantViolation("quasi-definite basis is not linearly independent")
     # pairwise trace-form values: tr(l1^T r1 l2^T r2) = <r1, l2><r2, l1>
     for i, (p1, L1, q1, R1) in enumerate(scaled):

@@ -273,6 +273,19 @@ def fusion_break() -> Algebra:
     return make_algebra(3, ["e", "u", "w"], table, [[one, z, z]])
 
 
+def jordan_block() -> Algebra:
+    """Basis e, u, w with e e = e, e u = u/2, e w = u + w/2 and every other product 0.
+
+    ad_e has the admissible eigenvalues 1, 1/2, 1/2 but one Jordan block on <u, w>: its
+    kernels have dimensions (0, 1, 1), so the axis e is primitive and not semisimple.
+    """
+    z, h, one = Fraction(0), HALF, Fraction(1)
+    table = [[[one, z, z], [z, h, z], [z, one, h]],
+             [[z, h, z], [z, z, z], [z, z, z]],
+             [[z, one, h], [z, z, z], [z, z, z]]]
+    return make_algebra(3, ["e", "u", "w"], table, [[one, z, z]])
+
+
 def by_name(name: str) -> AlgInfo:
     for info in registry():
         if info.name == name:

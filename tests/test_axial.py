@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axialq import (
     AxisReport,
@@ -21,6 +21,7 @@ from axialq import (
     make_algebra,
     multiply,
     peirce_components,
+    primitive_decomposition,
     quasi_definite_basis_check,
     radical,
     subalgebra_closure,
@@ -34,7 +35,7 @@ from axialq.errors import (
     NotPrimitiveAxis,
     NotSpanning,
 )
-from axialq.axial import _apply, _spectrum_witness
+from axialq.axial import _apply
 from axialq.cli import analyze_findings
 from axialq.constructions import (
     matrix_jordan,
@@ -50,6 +51,7 @@ from conftest import (
     direct_sum,
     dynkin_cartan,
     fusion_break,
+    jordan_block,
     miyamoto_image,
     registry,
     source_grid,
@@ -188,7 +190,8 @@ def _oracle_fusion(dec):
 
 def _oracle_axis(e):
     """check_axis by the Fraction formulas: eigenspaces as kernels of ad_e - lambda,
-    the spectrum witness by three products per basis element, `_oracle_fusion`."""
+    semisimplicity as their dimensions summing to n, the spectrum witness by three
+    products per basis element, `_oracle_fusion`."""
     try:
         dec = eigendecompose(e)
     except NotIdempotent:
@@ -204,19 +207,22 @@ def _oracle_axis(e):
         return 2 * multiply(e, eex) - 3 * eex + ex
 
     spectrum_ok = all(witness(x).is_zero() for x in e.algebra.basis_elements())
+    semisimple = dec.v0.dim + dec.v_half.dim + dec.v1.dim == e.algebra.dim
     primitive = dec.v1.dim == 1 and not e.is_zero()
-    fusion_ok = dec.semisimple and _oracle_fusion(dec).all_ok
-    return AxisReport(True, spectrum_ok, dec.semisimple, primitive, fusion_ok, dec)
+    fusion_ok = semisimple and _oracle_fusion(dec).all_ok
+    return AxisReport(True, spectrum_ok, semisimple, primitive, fusion_ok, dec)
 
 
 def _conftest_axes(algebras):
     """Every designated and spanning axis, unit and non-idempotent double of an axis
-    of every conftest construction, and the axes of the fusion-breaking algebras."""
+    of every conftest construction, and the axes of the fusion-breaking algebras and of
+    the Jordan-block table."""
     axes = []
     for info in algebras:
         axes += info.A.designated_axes + (info.spanning_axes or ())
         axes += [2 * info.A.designated_axes[0]] + ([info.unit] if info.unit else [])
-    axes += [*fusion_break().designated_axes, *_off_diagonal_break().designated_axes]
+    axes += [*fusion_break().designated_axes, *_off_diagonal_break().designated_axes,
+             *jordan_block().designated_axes]
     return list(dict.fromkeys(axes))
 
 
@@ -416,17 +422,28 @@ def _dense_spectrum(e):
     return all(2 * L3[i][j] - 3 * L2[i][j] + L[i][j] == 0 for i in range(n) for j in range(n))
 
 
+def _witness_agrees(a) -> bool:
+    """The packed witness, kept as ``semisimple``, equals the dense product and says whether
+    the kernel dimensions sum to n; returns it."""
+    dec = eigendecompose(a)
+    kernels = dec.v0.dim + dec.v_half.dim + dec.v1.dim == a.algebra.dim
+    assert dec.semisimple == _dense_spectrum(a) == kernels == check_axis(a).spectrum_ok, a
+    return dec.semisimple
+
+
 def test_spectrum_witness_matches_dense_fraction_product(algebras):
-    """The packed witness against the dense product, on every idempotent among the
-    conftest axes and on the CI file spectrum-break.json, whose e u = u/3 gives ad_e the
-    eigenvalue 1/3."""
+    """The witness on every idempotent among the conftest axes, on the CI file
+    spectrum-break.json, whose e u = u/3 gives ad_e the eigenvalue 1/3, and on the
+    Jordan-block table, whose admissible eigenvalues 1, 1/2, 1/2 share one Jordan block."""
     axes = [a for a in _conftest_axes(algebras) if a.is_idempotent()]
     assert len(axes) > 50
     for a in axes:
-        assert _spectrum_witness(eigendecompose(a)) == _dense_spectrum(a), a
+        _witness_agrees(a)
     e = _sparse_algebra(["e", "u"], {(0, 0): {0: 1}, (0, 1): {1: F(1, 3)}}).designated_axes[0]
-    assert _spectrum_witness(eigendecompose(e)) is _dense_spectrum(e) is False
-    assert not check_axis(e).spectrum_ok
+    assert _witness_agrees(e) is False
+    dec = eigendecompose(jordan_block().designated_axes[0])
+    assert (dec.v0.dim, dec.v_half.dim, dec.v1.dim) == (0, 1, 1)
+    assert _witness_agrees(dec.axis) is False
 
 
 _HUGE = st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
@@ -434,15 +451,20 @@ _HUGE = st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
 
 @st.composite
 def _huge_constant_axes(draw):
-    """The axes of B(alpha) or of a spin factor of squares, or e with e e = e and
-    e u = lam u + mu e: numerators and denominators up to 10^40.  e passes the witness
-    exactly when lam is 0, 1/2, or 1 with mu = 0."""
-    kind = draw(st.sampled_from(["twogen", "spin", "eigenvalue"]))
+    """The axes of B(alpha) or of a spin factor of squares, e with e e = e and
+    e u = lam u + mu e, or e with e e = e, e u = u/2 and e w = c u + w/2: numerators and
+    denominators up to 10^40.  e passes the witness exactly when lam is 0, 1/2, or 1
+    with mu = 0, or when c = 0 (otherwise ad_e has a Jordan block for 1/2)."""
+    kind = draw(st.sampled_from(["twogen", "spin", "eigenvalue", "block"]))
     if kind == "twogen":
         return list(two_gen_algebra(draw(_HUGE)).designated_axes)
     if kind == "spin":
         roots = draw(st.lists(_HUGE.filter(bool), min_size=1, max_size=3))
         return list(spin_factor([r * r for r in roots]).designated_axes)
+    if kind == "block":
+        c = draw(st.one_of(st.just(F(0)), _HUGE))
+        return list(_sparse_algebra(["e", "u", "w"], {(0, 0): {0: 1}, (0, 1): {1: HALF},
+                                                       (0, 2): {1: c, 2: HALF}}).designated_axes)
     lam = draw(st.one_of(st.sampled_from([F(0), HALF, F(1)]), _HUGE))
     mu = draw(st.one_of(st.just(F(0)), _HUGE))
     return list(_sparse_algebra(["e", "u"], {(0, 0): {0: 1}, (0, 1): {0: mu, 1: lam}})
@@ -451,10 +473,10 @@ def _huge_constant_axes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_huge_constant_axes())
+@example(list(jordan_block().designated_axes))
 def test_spectrum_witness_matches_dense_product_on_huge_constants(axes):
     for a in axes:
-        dec = eigendecompose(a)
-        assert _spectrum_witness(dec) == _dense_spectrum(a) == check_axis(a).spectrum_ok, a
+        _witness_agrees(a)
 
 
 def test_miyamoto_is_order_two_automorphism():
@@ -724,6 +746,16 @@ def test_is_invariant_matches_full_check(name, data):
     assert GramForm(A, perturbed).is_invariant() == _reference_is_invariant(A, perturbed)
 
 
+def test_solved_forms_pass_the_full_invariance_check():
+    """gram_for reports the solve's form invariant unchecked: its rows are the invariance
+    equations.  The n^3 reference agrees on the designated axes of every registry algebra,
+    Matsuo(W(D4)) and the Jordan-block table."""
+    algebras = [info.A for info in registry()]
+    algebras += [matsuo(weyl_reflections(dynkin_cartan("D", 4)))[0], jordan_block()]
+    for A in algebras:
+        assert _reference_is_invariant(A, frobenius_solve(A, list(A.designated_axes))[0].gram)
+
+
 def test_gram_spin_matches_bilinear_form():
     info = by_name("spin_111")
     # form is 2*(identity) in the basis (1, v1, v2, v3)
@@ -861,9 +893,10 @@ def test_positive_definite_forms_are_quasi_definite(algebras):
 
 
 def test_invariance_checked_once_per_analysis(monkeypatch):
+    """gram_for's forms are invariant by construction: analyze checks invariance only inside
+    the projection, once on spanning Matsuo(S4), and never on spin(1, 1), whose 2 axes in
+    dimension 3 leave the form to the solve."""
     from axialq import axial
-    from axialq.cli import analyze_findings
-    from axialq.constructions import spin_factor
     calls = []
     original = axial.GramForm.is_invariant
 
@@ -874,31 +907,47 @@ def test_invariance_checked_once_per_analysis(monkeypatch):
     monkeypatch.setattr(axial.GramForm, "is_invariant", counting)
     spanning, _ = matsuo(sn_transpositions(4))
     not_spanning = spin_factor([1, 1])  # 2 axes in dimension 3
-    for A in (spanning, not_spanning):
+    for A, expected in ((spanning, [spanning]), (not_spanning, [])):
         calls.clear()
         assert analyze_findings(A, {})["gram_invariant"]
-        assert calls == [A]
+        assert calls == expected
+
+
+def _count_witness(monkeypatch) -> list:
+    """The columns of M that each later `_spectrum_witness` call receives."""
+    from axialq import axial
+    calls = []
+    original = axial._spectrum_witness
+
+    def counting(s, cols):
+        calls.append(cols)
+        return original(s, cols)
+
+    monkeypatch.setattr(axial, "_spectrum_witness", counting)
+    return calls
 
 
 def test_analyze_forms_each_axis_columns_once(monkeypatch):
     """The spectrum witness forms every column of M^2 and M^3; the projection reads only
     row p of (2M - s)M, as a row vector times M, so `analyze` forms the columns once per
     axis."""
-    from axialq import axial
-    from axialq.cli import analyze_findings
     A, predicted = matsuo(sn_transpositions(5))
-    calls = []
-    original = axial._spectrum_witness
-
-    def counting(dec):
-        calls.append(dec.axis)
-        return original(dec)
-
-    monkeypatch.setattr(axial, "_spectrum_witness", counting)
+    calls = _count_witness(monkeypatch)
     findings = analyze_findings(A, {})
-    assert calls == list(A.designated_axes)
+    assert calls == [eigendecompose(a).cols for a in A.designated_axes]
     assert findings["gram_notes"]["axes_span"]
     assert findings["gram"] == [[str(x) for x in row] for row in predicted.entries()]
+
+
+def test_spectrum_witness_runs_once_per_idempotent(monkeypatch):
+    """The witness is decided with the decomposition and kept on it: two axis checks, the
+    primitivity test and the fusion search on one axis run it once."""
+    a = matsuo(sn_transpositions(4))[0].designated_axes[0]
+    calls = _count_witness(monkeypatch)
+    first, second = check_axis(a), check_axis(a)
+    assert first == second and first.is_primitive_axis
+    check_fusion(primitive_decomposition(a))
+    assert calls == [eigendecompose(a).cols]
 
 
 def test_analyze_takes_no_form_value(monkeypatch):

@@ -22,7 +22,7 @@ from axialq.errors import ParseError
 from axialq.exactla import Matrix, rref
 from axialq.fileio import AlgebraFile, format_rational, parse_rational
 
-from conftest import by_name, fusion_break, registry, source_grid
+from conftest import by_name, fusion_break, jordan_block, registry, source_grid
 
 F = Fraction
 
@@ -618,13 +618,17 @@ def test_analyze_error_keeps_findings(tmp_path):
 
 
 def test_exit_code_fail_on_fusion_break(tmp_path):
-    path = tmp_path / "fusion-break.json"
-    path.write_text(AlgebraFile.from_algebra("fusion-break", fusion_break()).to_json())
-    report, code = run_command(["analyze", str(path)])
-    assert code == 1 and report.status == "fail"
-    axis = report.findings["axes"][0]
-    assert axis["idempotent"] and axis["semisimple"] and axis["primitive"]
-    assert axis["fusion"] is False
+    """The fusion-break axis is semisimple; the Jordan-block axis, whose ad has one Jordan
+    block for 1/2, is not.  Both are primitive and fail fusion."""
+    for name, A, semisimple in (("fusion-break", fusion_break(), True),
+                                ("jordan-block", jordan_block(), False)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(AlgebraFile.from_algebra(name, A).to_json())
+        report, code = run_command(["analyze", str(path)])
+        assert code == 1 and report.status == "fail"
+        axis = report.findings["axes"][0]
+        assert axis["idempotent"] and axis["primitive"]
+        assert axis["semisimple"] is semisimple and axis["fusion"] is False
 
 
 def test_exit_code_fail_on_a_non_jordan_algebra(tmp_path):

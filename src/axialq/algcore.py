@@ -312,26 +312,26 @@ def restrict_to_subspace(A: Algebra, span: SubspaceBasis,
                          axes: Sequence[Element] = ()) -> tuple[Algebra, list["Element"]]:
     """Re-express A on a product-closed subspace as a first-class algebra.
 
-    Structure constants are taken in the canonical basis of ``span``.
-    Returns the restricted algebra together with the images of ``axes``
-    (which must lie in the subspace).  Raises ValueError if the subspace
+    Structure constants are taken in the canonical basis rows / den of ``span``: a vector
+    of the span has its coordinates at the pivots, and rows i and j multiply through T to
+    d den^2 times basis vectors i and j.  Returns the restricted algebra together with the
+    images of ``axes`` (which must lie in the subspace).  Raises ValueError if the subspace
     is not closed under the product.
     """
-    d = span.dim
-    basis = [_element(A, row, span.den) for row in span.rows]
+    (d, table), pivots = A.table, span.pivots
+    rows, q = [_nonzero(row) for row in span.rows], d * span.den * span.den
     cells = {}
-    for i, j in itertools.combinations_with_replacement(range(d), 2):
-        coords = span.coords_of(multiply(basis[i], basis[j]).coords)
-        if coords is None:
+    for i, j in itertools.combinations_with_replacement(range(span.dim), 2):
+        p = _product(table, rows[i], rows[j])
+        if not span.contains(p):
             raise ValueError("subspace is not closed under the product")
-        cells[i, j] = list(enumerate(coords))
-    sub = Algebra(d, [f"s{i}" for i in range(d)], cells)
+        cells[i, j] = [(k, Fraction(p[c], q)) for k, c in enumerate(pivots)]
+    sub = Algebra(span.dim, [f"s{i}" for i in range(span.dim)], cells)
     images = []
     for a in axes:
-        coords = span.coords_of(a.coords)
-        if coords is None:
+        if not span.contains(a.num):
             raise ValueError("axis does not lie in the subspace")
-        images.append(Element(sub, coords))
+        images.append(_element(sub, [a.num[c] for c in pivots], a.den))
     sub.designated_axes = tuple(images)
     return sub, images
 

@@ -29,7 +29,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, _integral, kernel_basis, rref, solve
+from .exactla import Matrix, SubspaceBasis, _integral, kernel_basis, solve
 
 __all__ = [
     "EigDecomposition",
@@ -288,7 +288,9 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     span A, the Gram matrix G is the unique solution of P G = F, where P
     stacks the axis coordinate rows; one elimination of [P | F] reads it off.
     Row a of F is row p of (2M - s)M / (s^2 a_p), p the pivot of v1 = <a>: the row
-    vector (2 M[p, :] - s e_p) times M, read off the columns of M.
+    vector r = (2 M[p, :] - s e_p) times M, read off the columns of M.  With a = num / den,
+    row a of [P | F] times s^2 num[p] den is the integer row [s^2 num[p] num | den^2 rM],
+    and G is read off the rows of their ``SubspaceBasis`` over its ``den``.
 
     After the two rank checks P G = F holds exactly, so a^T G = F_a and (a, a) = F_a a =
     (P1 a)_p / a_p = 1 for P1 = (2M - s)M / s^2, the projector onto <a> (M a = s a).
@@ -302,17 +304,19 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
     n = A.dim
     rows = []
     for dec in decs:
-        p = dec.v1.pivots[0]
+        p, a = dec.v1.pivots[0], dec.axis
         r = [2 * sum(x for i, x in col if i == p) for col in dec.cols]
         r[p] -= dec.s
-        den = dec.s * dec.s * dec.axis.coords[p]
-        rows.append(dec.axis.coords + tuple(sum(r[i] * x for i, x in c) / den for c in dec.cols))
-    res = rref(Matrix(rows))
-    if sum(c < n for c in res.pivot_columns) != n:
+        c, d2 = dec.s * dec.s * a.num[p], a.den * a.den
+        rows.append([c * x for x in a.num] + [d2 * sum(r[i] * x for i, x in col)
+                                              for col in dec.cols])
+    basis = SubspaceBasis(2 * n, rows)
+    if sum(c < n for c in basis.pivots) != n:
         raise NotSpanning("the given axes do not span the algebra")
-    if res.rank != n:
+    if basis.dim != n:
         raise InvariantViolation("projection values are not consistent with any form")
-    form = GramForm(A, Matrix([row[n:] for row in res.reduced.entries()[:n]]))
+    form = GramForm(A, Matrix._from_rows(tuple(tuple(Fraction(x, basis.den) for x in row[n:])
+                                               for row in basis.rows), n))
     if not form.is_invariant():
         raise InvariantViolation("projection form is not invariant")
     return form

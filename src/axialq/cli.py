@@ -175,7 +175,7 @@ def _generators(af: AlgebraFile, spec: Optional[str]) -> list[Element]:
             raise ParseError(f"generator indices {bad} out of range: the file has "
                              f"{len(axes)} axes")
         gens = [axes[i] for i in indices]
-    elif af.generators is not None:
+    elif af.generators:
         gens = [Element(A, g) for g in af.generators]
     else:
         gens = list(A.designated_axes)

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Scalars cross the API as ``fractions.Fraction``; elimination runs on Python ints in one
-loop, ``_eliminate``, shared by ``rref``, ``kernel_basis``, ``solve`` and ``SubspaceBasis``.
-A ``SubspaceBasis`` keeps its reduced echelon rows as integers over one denominator and builds
-their ``Fraction`` view only when it is read.  There is no floating point anywhere.  Matrices
-and subspace bases are immutable once built, so safe to share between threads.
+loop, ``_eliminate``, with two callers: ``SubspaceBasis``, which scales the eliminated rows to
+the reduced echelon rows as integers over one denominator, and ``kernel_basis``.  ``rref`` and
+``solve`` read their answers off a ``SubspaceBasis``, and every ``Fraction`` view is built only
+when it is read.  There is no floating point anywhere.  Matrices and subspace bases are
+immutable once built, so safe to share between threads.
 """
 
 from __future__ import annotations
@@ -143,22 +144,12 @@ def _eliminate(entries: Sequence[Sequence], ncols: int) -> tuple[list[list[int]]
     return rows, pivots
 
 
-def _canonical(rows: list[list[int]], pivots: list[int]) -> tuple[Vector, ...]:
-    """The nonzero rows of an eliminated integer matrix, each divided by its pivot."""
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(tuple(zero if not a else one if a == row[c] else Fraction(a, row[c]) for a in row)
-                 for row, c in zip(rows, pivots))
-
-
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form with pivot columns and rank.
-
-    The rows are eliminated in integers by ``_eliminate``; Fractions are
-    built only for the final, canonical reduced rows.
-    """
-    rows, pivots = _eliminate(m.entries(), m.cols)
-    reduced = _canonical(rows, pivots) + ((Fraction(0),) * m.cols,) * (m.rows - len(pivots))
-    return RrefResult(Matrix._from_rows(reduced, m.cols), pivots)
+    """Unique reduced row echelon form with pivot columns and rank: the rows of
+    ``SubspaceBasis(m.cols, m.entries())`` as ``Fraction``s, padded with zero rows."""
+    basis = SubspaceBasis(m.cols, m.entries())
+    reduced = basis.vectors + ((Fraction(0),) * m.cols,) * (m.rows - basis.dim)
+    return RrefResult(Matrix._from_rows(reduced, m.cols), list(basis.pivots))
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -270,17 +261,17 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
 def solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
     """Some x with m x = rhs (None when inconsistent) and the nullity of m.
 
-    When the solution space is positive-dimensional the free variables are
-    set to zero, so the result is deterministic.
+    The augmented rows [m | rhs] are eliminated as a ``SubspaceBasis``: the system is
+    inconsistent iff the last pivot is the rhs column, and otherwise x[p] is the rhs
+    entry of the row pivoting at p, over ``den``.  The free variables are set to zero,
+    so the result is deterministic.
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length != number of rows")
-    aug = Matrix._from_rows(tuple(r + (b,) for r, b in zip(m.entries(), rhs)), m.cols + 1)
-    res = rref(aug)
-    pivots = res.pivot_columns
-    if m.cols in pivots:
-        return None, m.cols - res.rank + 1  # pivot in the rhs column: inconsistent
+    aug = SubspaceBasis(m.cols + 1, [r + (b,) for r, b in zip(m.entries(), rhs)])
+    if aug.pivots and aug.pivots[-1] == m.cols:
+        return None, m.cols - aug.dim + 1  # pivot in the rhs column: inconsistent
     x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = res.reduced[r, m.cols]
-    return tuple(x), m.cols - res.rank
+    for row, p in zip(aug.rows, aug.pivots):
+        x[p] = Fraction(row[-1], aug.den)
+    return tuple(x), m.cols - aug.dim

@@ -14,6 +14,7 @@ from .algcore import (
     Algebra,
     Element,
     Word,
+    _element,
     find_unit,
     multiply,
     restrict_to_subspace,
@@ -40,7 +41,7 @@ from .errors import (
     ResidualNonzero,
     SameAxis,
 )
-from .exactla import Matrix, SubspaceBasis
+from .exactla import Matrix, SubspaceBasis, _combine
 
 __all__ = [
     "PairDecomposition",
@@ -333,7 +334,7 @@ def _unit_recursion(A: Algebra, X: Sequence[Element], g: GramForm) -> Element:
     basis0 = _select_axis_basis(a0_axis_basis(a, X, g), v0, g)
     sub, sub_axes = restrict_to_subspace(A, v0, basis0)
     e0_sub = _unit_recursion(sub, sub_axes, _restricted_gram(g, v0, sub))
-    return Element(A, v0.lift(e0_sub.coords)) + a
+    return _element(A, _combine(e0_sub.num, v0.rows, A.dim), e0_sub.den * v0.den) + a
 
 
 def build_unit(A: Algebra, X: Sequence[Element], g: GramForm) -> Optional[Element]:

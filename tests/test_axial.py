@@ -1001,6 +1001,47 @@ def test_fusion_checked_only_where_read(monkeypatch):
     assert calls == []
 
 
+def test_no_library_path_builds_fraction_rows(monkeypatch):
+    """Every elimination below the API is read off a SubspaceBasis's integer rows: the forms
+    of spanning Matsuo(S4) (projection) and spin(1, 4, 9) (solve), their radicals and units,
+    and the unit, capacity and chain of M3+ and H4' call rref at none of its aliases, and
+    the recursive unit reads no Element.coords."""
+    import sys
+    from axialq import (algcore, build_unit, capacity_decomposition, exactla, find_unit,
+                        special_chain)
+    from axialq.cli import gram_for
+    from axialq.constructions import sym_jordan_prime
+    calls, reads, original, coords = [], [], exactla.rref, algcore.Element.coords.fget
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    aliases = [(module, attr) for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "axialq"
+               for attr, value in vars(module).items() if value is original]
+    assert {module.__name__ for module, _ in aliases} == {"axialq", "axialq.exactla"}
+    for module, attr in aliases:
+        monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(algcore.Element, "coords",
+                        property(lambda e: reads.append(e) or coords(e)))
+    projected, solved = matsuo(sn_transpositions(4))[0], spin_factor([1, 4, 9])
+    for A, spans in ((projected, True), (solved, False)):
+        g, notes = gram_for(A)
+        assert notes["axes_span"] is spans
+        assert radical(A, g).is_zero() and find_unit(A) is not None
+    for A in (matrix_jordan(3), sym_jordan_prime(4)):
+        axes = list(A.designated_axes)
+        g, _ = gram_for(A)
+        e = find_unit(A)
+        reads.clear()
+        assert build_unit(A, axes, g) == e
+        assert reads == []
+        capacity = capacity_decomposition(A, axes, e, g).capacity
+        assert len(special_chain(A, axes, g).dims) == capacity + 1
+    assert calls == []
+
+
 def test_peirce_theorem_path_matches_the_search():
     """Every registry algebra is Jordan, so analyze takes each axis's fusion from the Peirce
     theorem: the search passes on every designated axis, and analyze's axis findings are

@@ -488,6 +488,24 @@ def test_commands_take_the_form_from_the_generators_of_a_file_without_axes(tmp_p
         assert code == 2 and report.message == "AxialError: the algebra has no designated axes"
 
 
+def test_an_empty_generators_list_leaves_the_axes(tmp_path):
+    """S3's file with "generators": [] beside its 3 axes: an empty list names no generators,
+    so every file command takes the axes and finds what it finds on the original file."""
+    original = _write_s3(tmp_path)
+    d = json.loads(Path(original).read_text())
+    d["generators"] = []
+    empty = tmp_path / "s3-empty-generators.json"
+    empty.write_text(json.dumps(d))
+    for argv in (["analyze", "{}"], ["frobenius", "{}"], ["radical", "{}"], ["capacity", "{}"],
+                 ["chain", "{}"], ["unit", "{}", "--recursive"],
+                 ["verify", "identities", "{}", "--triples", "2"],
+                 ["word-axis", "{}", "--word", "(a*b)"]):
+        report, code = run_command([a.format(empty) for a in argv])
+        expected, expected_code = run_command([a.format(original) for a in argv])
+        assert (code, report.status) == (expected_code, expected.status) == (0, "pass"), argv
+        assert report.findings == expected.findings, argv
+
+
 @pytest.mark.parametrize("argv", [["capacity"], ["chain"], ["word-axis", "--word", "a"],
                                   ["frobenius"], ["radical"], ["unit", "--recursive"]])
 def test_a_file_without_generators_or_axes_exits_2(tmp_path, argv):

@@ -171,13 +171,14 @@ mixed = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
 @st.composite
-def oracle_matrices(draw, max_n=5):
+def oracle_matrices(draw, max_n=5, tall=False):
     """Matrices with mixed denominators, zero rows and dependent rows.
 
-    Shapes include 0 x 0 and r x 0 (a matrix without rows has no columns).
+    Shapes include 0 x 0 and r x 0 (a matrix without rows has no columns); a tall matrix
+    has 1 to max_n columns and up to 3 times as many rows.
     """
-    nrows = draw(st.integers(0, max_n))
-    ncols = draw(st.integers(0, max_n))
+    ncols = draw(st.integers(1 if tall else 0, max_n))
+    nrows = draw(st.integers(ncols, 3 * ncols) if tall else st.integers(0, max_n))
     rows: list[list[Fraction]] = []
     for _ in range(nrows):
         kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
@@ -217,9 +218,12 @@ def test_rref_and_kernel_match_sympy(sympy, m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(oracle_matrices(), st.data())
+@given(st.one_of(oracle_matrices(), oracle_matrices(tall=True)), st.data())
 def test_solve_matches_sympy(sympy, m, data):
+    """On tall matrices most free right-hand sides are inconsistent.  A solution is 0 at
+    every non-pivot column of the rref: frobenius_solve reports that x as the Gram matrix."""
     s = to_sympy(sympy, m)
+    _, pivots = s.rref()
     x0 = data.draw(st.lists(mixed, min_size=m.cols, max_size=m.cols))
     free = data.draw(st.lists(mixed, min_size=m.rows, max_size=m.rows))
     for rhs in (m.apply(x0), free):
@@ -233,6 +237,7 @@ def test_solve_matches_sympy(sympy, m, data):
             xs = to_sympy(sympy, Matrix([[a] for a in x])) if m.cols \
                 else sympy.Matrix(0, 1, [])
             assert s * xs == b
+            assert all(not x[k] for k in range(m.cols) if k not in pivots)
 
 
 # --- coords_of against the transpose-and-solve oracle -----------------------

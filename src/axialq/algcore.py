@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, CommutativityViolation, InvariantViolation, NotIdempotent
-from .exactla import Matrix, SubspaceBasis, _frac, _integral, solve, vec
+from .exactla import SubspaceBasis, _frac, _integral, _solve, vec
 
 __all__ = [
     "Algebra",
@@ -292,15 +292,16 @@ def find_unit(A: Algebra) -> Optional[Element]:
     if n == 0:
         return None
     d, table = A.table
-    rows, rhs = [], []
-    for j in range(n):
-        cols = [dict(table[i][j]) for i in range(n)]
-        for k in range(n):
-            row = tuple(col.get(k, 0) for col in cols)
-            if j == k or any(row):
-                rows.append(row)
-                rhs.append(d * (j == k))
-    x, nullity = solve(Matrix._from_rows(tuple(rows), n), rhs)
+
+    def rows():  # row (j, k) is {i: T[i][j][k]}, with d at column n when j = k
+        for j in range(n):
+            eqs = {j: {n: d}}
+            for i in range(n):
+                for k, c in table[i][j]:
+                    eqs.setdefault(k, {})[i] = c
+            yield from eqs.values()
+
+    x, nullity = _solve(rows(), n)
     if x is None:
         return None
     if nullity:

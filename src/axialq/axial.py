@@ -29,7 +29,7 @@ from .errors import (
     NotSemisimple,
     NotSpanning,
 )
-from .exactla import Matrix, SubspaceBasis, _integral, kernel_basis, solve
+from .exactla import Matrix, SubspaceBasis, _integral, _solve, kernel_basis
 
 __all__ = [
     "EigDecomposition",
@@ -330,29 +330,30 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
     rows, so the canonical elimination, and the solution read off it, is that of the full
     system.  Each axis adds the row (a, a) = 1, in integers as (a.num, a.num) = a.den^2, so
     the system stays integral and the form is normalized on every axis given, exactly.
-    Returns a solution, with free unknowns set to 0, together with the
-    dimension of the homogeneous solution space (0 means the form is unique).
+    The rows stream in sparse, and once every unknown pivots the rest are only checked.
+    Returns a solution, with free unknowns set to 0, together with the dimension of the
+    homogeneous solution space (0 means the form is unique).
     """
     if not axes:
         raise ValueError("at least one axis is required for normalization")
     n = A.dim
     index, invariance = _invariance_equations(A)
     nun = n * (n + 1) // 2
-    rows = []
-    for eq in invariance:
-        row = [0] * nun
-        for u, c in eq:
-            row[u] += c
-        if any(row):
-            rows.append(tuple(row))
-    rhs = [0] * len(rows) + [a.den * a.den for a in axes]
-    for a in axes:
-        row = [0] * nun
-        for i, ai in _nonzero(a.num):
-            for j, aj in _nonzero(a.num):
-                row[index[i][j]] += ai * aj
-        rows.append(tuple(row))
-    x, free_dim = solve(Matrix._from_rows(tuple(rows), nun), rhs)
+
+    def rows():  # sparse integer rows, the right-hand side at column nun
+        for eq in invariance:
+            row = {}
+            for u, c in eq:
+                row[u] = row.get(u, 0) + c
+            yield {u: c for u, c in row.items() if c}
+        for a in axes:
+            row = {nun: a.den * a.den}
+            for i, ai in _nonzero(a.num):
+                for j, aj in _nonzero(a.num):
+                    row[index[i][j]] = row.get(index[i][j], 0) + ai * aj
+            yield row
+
+    x, free_dim = _solve(rows(), nun)
     if x is None:
         raise Inconsistent("no invariant normalized form exists for these axes")
     return GramForm(A, Matrix([[x[u] for u in row] for row in index])), free_dim

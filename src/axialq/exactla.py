@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Scalars cross the API as ``fractions.Fraction``; elimination runs on Python ints in one
-loop, ``_eliminate``, with two callers: ``SubspaceBasis``, which scales the eliminated rows to
-the reduced echelon rows as integers over one denominator, and ``kernel_basis``.  ``rref`` and
-``solve`` read their answers off a ``SubspaceBasis``, and every ``Fraction`` view is built only
-when it is read.  There is no floating point anywhere.  Matrices and subspace bases are
-immutable once built, so safe to share between threads.
+Scalars cross the API as ``fractions.Fraction``; below it a system is a stream of sparse
+integer rows {column: int}, scaled to integers once at the public boundary, or built so by the
+callers with large systems.  ``_eliminate``, the one elimination loop, reduces each row against
+the pivot rows found so far as it arrives, and stops reading once every column pivots; ``solve``
+solves that prefix and checks each row left with one exact dot product.  No floating point
+anywhere; matrices and subspace bases are immutable, so safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Fraction",
@@ -111,37 +111,45 @@ def _integral(row: Sequence) -> tuple[int, list[int]]:
     return d, [a.numerator * (d // a.denominator) for a in row]
 
 
-def _eliminate(entries: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of the rows scaled to integers: each step
-    combines a row with the pivot row using cofactors reduced by their gcd and divides out
-    the row's content, so entries stay small.  Returns the rows and the pivot columns: row
-    r has its pivot at pivots[r], every other row is 0 there, rows past the rank are 0."""
-    rows = [_integral(r)[1] for r in entries]
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("vector length != ambient dimension")
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            a = rows[i][c]
-            if a and i != r:
-                g = gcd(a, p)
-                pg, ag = p // g, a // g
-                row = [pg * x - ag * y for x, y in zip(rows[i], prow)]
-                h = gcd(*row)
-                rows[i] = [x // h for x in row] if h > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _sparse(rows: Iterable[Sequence], n: int) -> Iterator[dict[int, int]]:
+    """Rows scaled to sparse integer rows {column: nonzero int} of length n; a dict is one."""
+    for row in rows:
+        if not isinstance(row, dict):
+            _, w = _integral(row)
+            if len(w) != n:
+                raise ValueError("vector length != ambient dimension")
+            row = {k: x for k, x in enumerate(w) if x}
+        yield row
+
+
+def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """p row - a prow over gcd(a, p), a = row[c] and p = prow[c], over its content: 0 at c."""
+    g = gcd(row[c], prow[c])
+    pg, ag = prow[c] // g, row[c] // g
+    out = {k: pg * x for k, x in row.items()}
+    for k, y in prow.items():
+        out[k] = out.get(k, 0) - ag * y
+    h = gcd(*out.values()) or 1
+    return {k: x // h for k, x in out.items() if x}
+
+
+def _eliminate(rows: Iterable[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
+    """Streaming fraction-free Gauss-Jordan elimination: {pivot column: pivot row}.  A row is
+    reduced by the pivot rows so far as it arrives, and dropped if it reduces to zero; else it
+    pivots at its first column, which is cleared from the earlier pivot rows, so they stay the
+    reduced echelon form, each up to scale.  An entry at column ncols (a right-hand side)
+    counts toward no rank; once columns < ncols all pivot, the rest of ``rows`` is unread."""
+    pivots = {}
+    for row in rows:
+        for c in [c for c in row if c in pivots]:
+            row = _reduce(row, pivots[c], c)
+        if row:
+            c = min(row)
+            pivots = {q: _reduce(prow, row, c) if c in prow else prow for q, prow in pivots.items()}
+            pivots[c] = row
+            if len(pivots) - (ncols in pivots) == ncols:
+                break
+    return pivots
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -173,12 +181,13 @@ class SubspaceBasis:
     __slots__ = ("ambient_dim", "rows", "den", "pivots", "_vectors")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence]):
-        self.ambient_dim = ambient_dim
-        rows, pivots = _eliminate(vectors, ambient_dim)
-        # row r over its pivot has the denominator |pivot| / content, and den their lcm
-        self.den = den = lcm(*(row[c] // gcd(*row) for row, c in zip(rows, pivots)))
-        self.rows = tuple(tuple(x * den // row[c] for x in row) for row, c in zip(rows, pivots))
-        self.pivots = tuple(pivots)
+        self.ambient_dim = n = ambient_dim
+        pivots = _eliminate(list(_sparse(vectors, n)), n)  # list: every row is checked
+        self.pivots = tuple(sorted(pivots))
+        # row c over its pivot has the denominator |pivot| / content, and den their lcm
+        self.den = den = lcm(*(pivots[c][c] // gcd(*pivots[c].values()) for c in self.pivots))
+        self.rows = tuple(tuple(pivots[c].get(k, 0) * den // pivots[c][c] for k in range(n))
+                          for c in self.pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -245,33 +254,31 @@ class SubspaceBasis:
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
-    """Basis of the right null space of m, in integers until ``SubspaceBasis``: with row r
-    of the eliminated m pivoting at column c_r, each free column f gives the kernel
-    vector v[f] = L, v[c_r] = -row_r[f] L / row_r[c_r], L the lcm of the pivots."""
-    rows, pivots = _eliminate(m.entries(), m.cols)
-    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    free = sorted(set(range(m.cols)).difference(pivots))
-    out = [[scale * (k == f) for k in range(m.cols)] for f in free]
-    for v, f in zip(out, free):
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f] * scale // row[c]
-    return SubspaceBasis(m.cols, out)
+    """Basis of the right null space of m: with the eliminated row pivoting at c, each free
+    column f gives the kernel vector v[f] = L, v[c] = -row[f] L / row[c], L the pivots' lcm."""
+    pivots = _eliminate(_sparse(m.entries(), m.cols), m.cols)
+    scale = lcm(*(row[c] for c, row in pivots.items()))
+    return SubspaceBasis(m.cols, [{f: scale, **{c: -row[f] * scale // row[c]
+                                               for c, row in pivots.items() if f in row}}
+                                  for f in range(m.cols) if f not in pivots])
+
+
+def _solve(rows: Iterator[dict[int, int]], n: int) -> tuple[Optional[Vector], int]:
+    """``solve`` on sparse integer rows, the right-hand side at column n: once the n unknowns
+    all pivot, each row left is one exact dot product with the then unique candidate x."""
+    pivots = _eliminate(rows, n)
+    den = lcm(*(row[c] for c, row in pivots.items()))
+    x = {c: row.get(n, 0) * den // row[c] for c, row in pivots.items()}  # den x
+    ok = n not in pivots
+    for row in rows:
+        ok = ok and sum(x.get(k, 0) * v for k, v in row.items()) == den * row.get(n, 0)
+    return (tuple(Fraction(x.get(k, 0), den) for k in range(n)) if ok else None,
+            n - len(pivots) + (n in pivots))
 
 
 def solve(m: Matrix, rhs: Sequence) -> tuple[Optional[Vector], int]:
-    """Some x with m x = rhs (None when inconsistent) and the nullity of m.
-
-    The augmented rows [m | rhs] are eliminated as a ``SubspaceBasis``: the system is
-    inconsistent iff the last pivot is the rhs column, and otherwise x[p] is the rhs
-    entry of the row pivoting at p, over ``den``.  The free variables are set to zero,
-    so the result is deterministic.
-    """
+    """Some x with m x = rhs (None when inconsistent) and the nullity of m: x[p] is read off
+    the row of [m | rhs] pivoting at p, and the free variables are 0, so x is deterministic."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length != number of rows")
-    aug = SubspaceBasis(m.cols + 1, [r + (b,) for r, b in zip(m.entries(), rhs)])
-    if aug.pivots and aug.pivots[-1] == m.cols:
-        return None, m.cols - aug.dim + 1  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * m.cols
-    for row, p in zip(aug.rows, aug.pivots):
-        x[p] = Fraction(row[-1], aug.den)
-    return tuple(x), m.cols - aug.dim
+    return _solve(_sparse((r + (b,) for r, b in zip(m.entries(), rhs)), m.cols + 1), m.cols)

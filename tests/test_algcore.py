@@ -143,6 +143,15 @@ def test_find_unit_absent():
     assert find_unit(A) is None
 
 
+def test_find_unit_on_matsuo_w_e7():
+    """Matsuo(W(E7)), dimension 63: the solve reaches full rank on a prefix of its rows and
+    checks the rest, and the unit it returns acts as the unit on every basis element."""
+    A, _ = matsuo(weyl_reflections(dynkin_cartan("E", 7)))
+    e = find_unit(A)
+    assert A.dim == 63 and e is not None
+    assert all(multiply(e, b) == b for b in A.basis_elements())
+
+
 def test_restrict_to_subspace_roundtrip():
     info = by_name("h3")
     A = info.A

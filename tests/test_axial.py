@@ -843,6 +843,16 @@ def test_matsuo_d4_has_a_nonzero_radical_ideal():
     assert all(axis["primitive"] and axis["fusion"] for axis in findings["axes"])
 
 
+def test_h7_analysis_solves_its_form_and_finds_the_identity():
+    """H7, the ladder's top: the seven diagonal axes span 7 of 28 dimensions, so the form
+    comes from the invariance solve on 406 unknowns, which leaves no entry free."""
+    from axialq.constructions import sym_jordan
+    findings = analyze_findings(sym_jordan(7), {})
+    assert findings["gram_notes"] == {"solve_free_dim": 0, "axes_span": False}
+    assert findings["radical_dim"] == 0 and findings["jordan"] is True
+    assert findings["unit"] == ["1"] * 7 + ["0"] * 21
+
+
 def test_quasi_definite_basis_check():
     info = by_name("m2")
     ok, witness = quasi_definite_basis_check(list(info.qd_basis), info.g)

@@ -49,6 +49,34 @@ def test_solve_zeroes_free_variables():
     assert solve(m, [F(2)]) == ((F(2), F(0), F(0)), 2)
 
 
+def test_solve_checks_each_row_past_full_rank():
+    """The first two rows fix x = (1/3, -2), so elimination stops there and each later row
+    is only checked against x, by an exact dot product over its Fractions or strings."""
+    m = M([[1, 2], [3, 4], [F(1, 3), F(1, 2)], [0, F(5, 7)]])
+    x, rhs = (F(1, 3), F(-2)), [F(-11, 3), F(-7), F(-8, 9), F(-10, 7)]
+    assert solve(m, rhs) == (x, 0)
+    assert solve(m, rhs[:3] + [F(-10, 7) + F(1, 63)]) == (None, 0)
+    assert solve(m, rhs[:2] + ["-8/9", "-10/7"]) == (x, 0)
+    assert solve(m, rhs[:2] + ["-8/9", "-10/7001"]) == (None, 0)
+    assert solve(m, rhs[:2] + [F(-8, 9) - F(1, 10 ** 30), "-10/7"]) == (None, 0)
+    with pytest.raises(TypeError):
+        solve(m, rhs[:3] + [-1.5])
+    with pytest.raises(ValueError):
+        solve(m, rhs + [F(0)])
+
+
+def test_rows_past_full_rank_are_still_checked():
+    """Q^2 is spanned after two rows: a later row of the wrong length or with a float
+    still raises, and later Fraction and string rows lie in the span."""
+    full = [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        SubspaceBasis(2, full + [[1, 2, 3]])
+    with pytest.raises(TypeError):
+        SubspaceBasis(2, full + [[F(1, 2), 0.5]])
+    assert SubspaceBasis(2, full + [[F(1, 3), "-2/7"], ["5", 0]]) == SubspaceBasis(2, full)
+    assert kernel_basis(M(full + [[F(1, 3), F(-2, 7)]])).is_zero()
+
+
 def test_det_and_inverse():
     """det [[2,1],[1,1]] = 1: solve gives its inverse column by column;
     det [[1,2],[2,4]] = 0: rank 1, and e_0 is not in its image."""
@@ -171,19 +199,28 @@ mixed = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
 @st.composite
-def oracle_matrices(draw, max_n=5, tall=False):
-    """Matrices with mixed denominators, zero rows and dependent rows.
+def oracle_matrices(draw, max_n=5, tall=False, low_rank=False):
+    """Matrices with mixed denominators and zero, sparse (1 or 2 nonzeros) and dependent rows.
 
     Shapes include 0 x 0 and r x 0 (a matrix without rows has no columns); a tall matrix
-    has 1 to max_n columns and up to 3 times as many rows.
+    has 1 to max_n columns and up to 3 times as many rows.  A low-rank matrix is tall too,
+    and every row after its first two is zero or a combination of earlier rows: its rank is
+    at most 2, so most of its rows reduce to zero.
     """
+    tall = tall or low_rank
     ncols = draw(st.integers(1 if tall else 0, max_n))
     nrows = draw(st.integers(ncols, 3 * ncols) if tall else st.integers(0, max_n))
     rows: list[list[Fraction]] = []
     for _ in range(nrows):
-        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        kind = draw(st.sampled_from(["zero", "combination"] if low_rank and len(rows) >= 2
+                                    else ["fresh", "fresh", "sparse", "zero", "combination"]))
         if kind == "fresh":
             rows.append(draw(st.lists(mixed, min_size=ncols, max_size=ncols)))
+        elif kind == "sparse" and ncols:
+            row = [F(0)] * ncols
+            for k in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=2)):
+                row[k] = draw(mixed.filter(bool))
+            rows.append(row)
         elif kind == "combination" and rows:
             u, w = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s, t = draw(mixed), draw(mixed)
@@ -204,7 +241,7 @@ def from_sympy(s):
 
 
 @settings(max_examples=150, deadline=None)
-@given(oracle_matrices())
+@given(st.one_of(oracle_matrices(), oracle_matrices(low_rank=True)))
 def test_rref_and_kernel_match_sympy(sympy, m):
     s = to_sympy(sympy, m)
     reduced, pivots = s.rref()
@@ -218,9 +255,11 @@ def test_rref_and_kernel_match_sympy(sympy, m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(oracle_matrices(), oracle_matrices(tall=True)), st.data())
+@given(st.one_of(oracle_matrices(), oracle_matrices(tall=True), oracle_matrices(low_rank=True)),
+       st.data())
 def test_solve_matches_sympy(sympy, m, data):
-    """On tall matrices most free right-hand sides are inconsistent.  A solution is 0 at
+    """On tall matrices most free right-hand sides are inconsistent; a tall matrix of full
+    column rank stops eliminating early and checks its other rows.  A solution is 0 at
     every non-pivot column of the rref: frobenius_solve reports that x as the Gram matrix."""
     s = to_sympy(sympy, m)
     _, pivots = s.rref()

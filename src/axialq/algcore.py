@@ -224,20 +224,20 @@ def _upper(names: Sequence[str], grid) -> dict:
 
 
 def _nonzero(v) -> list[tuple[int, object]]:
-    """The nonzero (i, v[i]): the sparse vectors ``_product`` reads."""
+    """The nonzero (i, v[i]) of a dense vector: an operand of ``_product``."""
     return [(i, x) for i, x in enumerate(v) if x]
 
 
-def _product(table, u, w) -> list:
-    """d times the product of the sparse integer vectors u and w, through the T of
-    ``Algebra.table``."""
-    p = [0] * len(table)
+def _product(table, u, w) -> dict:
+    """d times the product of the sparse integer vectors u and w, given as (i, x) pairs,
+    through the T of ``Algebra.table``: {k: c}, where a c may be 0 after cancellation."""
+    p = {}
     for a, ua in u:
         row = table[a]
         for b, wb in w:
             c = ua * wb
             for k, ck in row[b]:
-                p[k] += c * ck
+                p[k] = p.get(k, 0) + c * ck
     return p
 
 
@@ -246,8 +246,8 @@ def multiply(x: Element, y: Element) -> Element:
     through T over d x.den y.den."""
     x._same(y)
     d, table = x.algebra.table
-    return _element(x.algebra, _product(table, _nonzero(x.num), _nonzero(y.num)),
-                    d * x.den * y.den)
+    p = _product(table, _nonzero(x.num), _nonzero(y.num))
+    return _element(x.algebra, [p.get(k, 0) for k in range(x.algebra.dim)], d * x.den * y.den)
 
 
 def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
@@ -260,8 +260,9 @@ def _closure(A: Algebra, seed: Sequence[Element], pairs) -> SubspaceBasis:
         new_rows = list(span.rows)
         for u, v in pairs([_nonzero(row) for row in span.rows]):
             p = _product(table, u, v)
-            if not span.contains(p):
-                new_rows.append(p)
+            num = [p.get(k, 0) for k in range(A.dim)]
+            if not span.contains(num):
+                new_rows.append(num)
         if len(new_rows) == span.dim:
             return span
         span = SubspaceBasis(A.dim, new_rows)
@@ -324,9 +325,9 @@ def restrict_to_subspace(A: Algebra, span: SubspaceBasis,
     cells = {}
     for i, j in itertools.combinations_with_replacement(range(span.dim), 2):
         p = _product(table, rows[i], rows[j])
-        if not span.contains(p):
+        if not span.contains([p.get(k, 0) for k in range(A.dim)]):
             raise ValueError("subspace is not closed under the product")
-        cells[i, j] = [(k, Fraction(p[c], q)) for k, c in enumerate(pivots)]
+        cells[i, j] = [(k, Fraction(p.get(c, 0), q)) for k, c in enumerate(pivots)]
     sub = Algebra(span.dim, [f"s{i}" for i in range(span.dim)], cells)
     images = []
     for a in axes:

@@ -4,10 +4,10 @@ Everything is exact; a "check" either returns booleans or raises one of the erro
 :mod:`axialq.errors` when a precondition is violated.  ``eigendecompose`` alone builds
 Peirce data, and each algebra keeps what it built, so an axis is decomposed once for the
 lifetime of its algebra.  The eigenspaces are the kernels of the integer ad matrix
-M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  Fusion
-membership and Peirce components apply M by adding up the columns of a vector's nonzero
-entries, the spectrum witness packs each column into one int, and an axis's projection
-coefficients are one row vector times M: no product with the axis, no further elimination.
+M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  Products
+and M are applied as sparse {k: c} dicts, M by adding up only its columns at a vector's keys;
+only dense callers convert.  The spectrum witness packs each column into one int, and an axis's
+projection coefficients are one row vector times M: no product with the axis, no elimination.
 ``frobenius_solve`` and ``GramForm.is_invariant`` read the integer invariance equations from
 one function; ``is_invariant`` evaluates them on G scaled once.
 """
@@ -112,27 +112,29 @@ def eigendecompose(e: Element) -> EigDecomposition:
     if dec is None:
         (d, table), n, q, u = A.table, A.dim, e.den, e.num
         us = _nonzero(u)
-        if _product(table, us, us) != [d * q * x for x in u]:
+        square = _product(table, us, us)
+        if any(square.get(i, 0) != d * q * x for i, x in enumerate(u)):
             raise NotIdempotent(f"{e!r} is not idempotent")
         cols = [_product(table, us, ((j, 1),)) for j in range(n)]
-        g = gcd(d * q, *(x for col in cols for x in col))
-        rows = [[col[i] // g for col in cols] for i in range(n)]
+        g = gcd(d * q, *(x for col in cols for x in col.values()))
+        rows = [[col.get(i, 0) // g for col in cols] for i in range(n)]
         s = d * q // g
         spaces = [kernel_basis(Matrix._from_rows(tuple(
                       tuple(c * x - t * (i == j) for j, x in enumerate(row))
                       for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
-        m = tuple(tuple((i, x // g) for i, x in _nonzero(col)) for col in cols)
+        m = tuple(tuple(sorted((i, x // g) for i, x in col.items() if x)) for col in cols)
         dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m, _spectrum_witness(s, m))
     return dec
 
 
-def _apply(dec: EigDecomposition, v: Sequence[int], c: int = 1, t: int = 0) -> list[int]:
-    """(cM - t) v, with M = s * ad_axis: c v_j times column j of M, for each nonzero v_j."""
-    out = [-t * x for x in v]
-    for x, col in zip(v, dec.cols):
+def _apply(dec: EigDecomposition, v: dict[int, int], c: int = 1, t: int = 0) -> dict[int, int]:
+    """(cM - t) v on {j: v_j}, M = s * ad_axis: -t v plus c v_j times column j of M, v_j != 0."""
+    out, cols = {i: -t * x for i, x in v.items()} if t else {}, dec.cols
+    for j, x in v.items():
         if x:
-            for i, y in col:
-                out[i] += c * x * y
+            x *= c
+            for i, y in cols[j]:
+                out[i] = out.get(i, 0) + x * y
     return out
 
 
@@ -196,16 +198,16 @@ def check_fusion(dec: EigDecomposition) -> FusionReport:
     _, table = dec.axis.algebra.table
     v0, vh, v1 = ([_nonzero(row) for row in sp.rows] for sp in (dec.v0, dec.v_half, dec.v1))
 
-    def within(left, right, test) -> bool:
+    def within(left, right, image) -> bool:
         # the product commutes (Algebra mirrors each cell): a square needs w from u on
-        return all(test(_product(table, u, w)) for i, u in enumerate(left)
-                   for w in (right[i:] if left is right else right))
+        return not any(any(image(_product(table, u, w)).values()) for i, u in enumerate(left)
+                       for w in (right[i:] if left is right else right))
 
     return FusionReport(
-        zero_square=within(v0, v0, lambda p: not any(_apply(dec, p))),
-        half_square=within(vh, vh, lambda p: not any(_apply(dec, _apply(dec, p, 1, dec.s)))),
-        even_times_half=within(v0 + v1, vh, lambda p: not any(_apply(dec, p, 2, dec.s))),
-        zero_times_one=within(v0, v1, lambda p: not any(p)),
+        zero_square=within(v0, v0, lambda p: _apply(dec, p)),
+        half_square=within(vh, vh, lambda p: _apply(dec, _apply(dec, p, 1, dec.s))),
+        even_times_half=within(v0 + v1, vh, lambda p: _apply(dec, p, 2, dec.s)),
+        zero_times_one=within(v0, v1, lambda p: p),
     )
 
 
@@ -220,9 +222,9 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
         raise NotPrimitiveAxis("decomposition is not that of a primitive axis")
     dec.axis._same(x)
     A, s2, axis = x.algebra, dec.s * dec.s, dec.axis
-    mv, den = _apply(dec, x.num), s2 * x.den
-    x1 = _apply(dec, mv, 2, dec.s)
-    xh = [-4 * y for y in _apply(dec, mv, 1, dec.s)]
+    mv, den = _apply(dec, dict(_nonzero(x.num))), s2 * x.den
+    x1, xh = _apply(dec, mv, 2, dec.s), _apply(dec, mv, 1, dec.s)
+    x1, xh = [x1.get(i, 0) for i in range(A.dim)], [-4 * xh.get(i, 0) for i in range(A.dim)]
     p = dec.v1.pivots[0]
     return (_element(A, [s2 * c - a - b for c, a, b in zip(x.num, x1, xh)], den),
             _element(A, xh, den), Fraction(x1[p] * axis.den, den * axis.num[p]))

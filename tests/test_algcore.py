@@ -20,6 +20,7 @@ from axialq import (
     restrict_to_subspace,
     subalgebra_closure,
 )
+from axialq.algcore import _nonzero, _product
 from axialq.constructions import matsuo, spin_factor, two_gen_algebra
 from axialq.errors import (
     AlgebraMismatch,
@@ -235,6 +236,30 @@ def test_multiply_matches_dense_sum(name, xc, yc):
     dense = [sum((x.coords[i] * y.coords[j] * c[i][j][k]
                   for i in range(n) for j in range(n)), F(0)) for k in range(n)]
     assert multiply(x, y).coords == tuple(dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_product_algebras())), _OPERAND, _OPERAND)
+@example("matsuo_s3", [F(1)], [F(0), F(1), F(-1)])  # cancels at (1 2)
+def test_product_read_densely_is_multiply(name, xc, yc):
+    """_product on the nonzero (i, x) of x.num and y.num is {k: c}, c an int, and over
+    d x.den y.den its dense reading is multiply(x, y)."""
+    A = _product_algebras()[name]
+    n, (d, table) = A.dim, A.table
+    x, y = (A.element((list(v) + [F(0)] * n)[:n]) for v in (xc, yc))
+    p = _product(table, _nonzero(x.num), _nonzero(y.num))
+    assert set(p) <= set(range(n)) and all(type(c) is int for c in p.values())
+    assert A.element([F(p.get(k, 0), d * x.den * y.den) for k in range(n)]) == multiply(x, y)
+
+
+def test_product_keeps_a_cancelled_coordinate():
+    """In Matsuo(S3), (1 2)(1 3) - (1 2)(2 3) cancels at (1 2): the key stays, valued 0."""
+    A = by_name("matsuo_s3").A
+    d, table = A.table
+    p = _product(table, [(0, 1)], [(1, 1), (2, -1)])
+    assert p == {0: 0, 1: 2, 2: -2}
+    x, y = A.basis_element(0), A.basis_element(1) - A.basis_element(2)
+    assert multiply(x, y) == A.element([F(p.get(k, 0), d) for k in range(3)])
 
 
 def _assert_canonical(e):

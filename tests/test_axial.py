@@ -18,6 +18,7 @@ from axialq import (
     frobenius_projection,
     frobenius_solve,
     ideal_closure,
+    jordan_identity_check,
     make_algebra,
     multiply,
     peirce_components,
@@ -35,6 +36,7 @@ from axialq.errors import (
     NotPrimitiveAxis,
     NotSpanning,
 )
+from axialq.algcore import _nonzero, _product
 from axialq.axial import _apply
 from axialq.cli import analyze_findings
 from axialq.constructions import (
@@ -267,31 +269,34 @@ def _decompositions():
 
 @st.composite
 def _int_vectors(draw, n):
-    """The zero vector, a vector with one nonzero entry, or one with no zero entry."""
+    """A sparse integer vector {j: v_j} of length n: the zero vector, one nonzero entry, no
+    zero entry, or some entries held as explicit zeros, as a product that cancels leaves them."""
     nonzero = st.integers(-9, 9).filter(bool)
-    kind = draw(st.sampled_from(["zero", "single", "dense"]))
+    kind = draw(st.sampled_from(["zero", "single", "dense", "explicit zeros"]))
     if kind == "dense":
-        return draw(st.lists(nonzero, min_size=n, max_size=n))
-    v = [0] * n
-    if kind == "single":
-        v[draw(st.integers(0, n - 1))] = draw(nonzero)
-    return v
+        return dict(enumerate(draw(st.lists(nonzero, min_size=n, max_size=n))))
+    if kind == "explicit zeros":
+        keys = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        return {j: 0 if j == keys[0] else draw(st.integers(-9, 9)) for j in keys}
+    return {draw(st.integers(0, n - 1)): draw(nonzero)} if kind == "single" else {}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_apply_matches_dense_fraction_operator(data):
     """_apply(dec, v, c, t) on the columns of M is (c s ad_a - t) v, with the dense
-    Fraction matrix ad_a built from `multiply`."""
+    Fraction matrix ad_a built from `multiply`, on {j: v_j} in and out."""
     dec = data.draw(st.sampled_from(_decompositions()))
     a, n, s = dec.axis, dec.axis.algebra.dim, dec.s
     ad_cols = [multiply(a, b).coords for b in a.algebra.basis_elements()]
     c, t = data.draw(st.sampled_from([(1, 0), (2, s), (1, s)]))
     v = data.draw(_int_vectors(n))
     applied = _apply(dec, v, c, t)
-    assert all(type(x) is int for x in applied)
-    assert applied == [c * s * sum(col[i] * vj for col, vj in zip(ad_cols, v)) - t * v[i]
-                       for i in range(n)]
+    assert set(applied) <= set(range(n)) and all(type(x) is int for x in applied.values())
+    dense = [v.get(j, 0) for j in range(n)]
+    assert [applied.get(i, 0) for i in range(n)] == [
+        c * s * sum(col[i] * vj for col, vj in zip(ad_cols, dense)) - t * dense[i]
+        for i in range(n)]
 
 
 def test_check_fusion_matches_ordered_pair_reference(algebras):
@@ -302,6 +307,33 @@ def test_check_fusion_matches_ordered_pair_reference(algebras):
             assert check_fusion(dec) == _oracle_fusion(dec), a
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_check_fusion_matches_oracle_on_weyl_d_matsuo(rank):
+    """Matsuo(W(D4)) and Matsuo(W(D5)) are not Jordan, so the search alone decides fusion."""
+    A, _ = matsuo(weyl_reflections(dynkin_cartan("D", rank)))
+    assert len(A.designated_axes) == rank * (rank - 1) and not jordan_identity_check(A)
+    for a in A.designated_axes:
+        dec = eigendecompose(a)
+        assert check_fusion(dec) == _oracle_fusion(dec), a
+
+
+def test_non_idempotent_with_a_cancelled_square_coordinate():
+    """x x = x + z, x y = -z/2, y y = y: the square of e = x + y cancels at z, where e is 0,
+    so e is idempotent; f = e + z squares to e, which differs from f only at that z."""
+    F0, one, half = F(0), F(1), F(1, 2)
+    zero = [F0] * 3
+    A = make_algebra(3, ["x", "y", "z"], [[[one, F0, one], [F0, F0, -half], zero],
+                                          [[F0, F0, -half], [F0, one, F0], zero],
+                                          [zero, zero, zero]])
+    _, table = A.table
+    e, f = A.element([1, 1, 0]), A.element([1, 1, 1])
+    for x in (e, f):
+        assert _product(table, _nonzero(x.num), _nonzero(x.num)).get(2) == 0
+    assert eigendecompose(e).axis == e
+    with pytest.raises(NotIdempotent):
+        eigendecompose(f)
 
 
 def test_check_axis_matches_fraction_oracle(algebras):
@@ -1056,7 +1088,6 @@ def test_peirce_theorem_path_matches_the_search():
     """Every registry algebra is Jordan, so analyze takes each axis's fusion from the Peirce
     theorem: the search passes on every designated axis, and analyze's axis findings are
     those of check_axis on the full path."""
-    from axialq import jordan_identity_check
     from axialq.fileio import format_rational
     for info in registry():
         A = info.A

@@ -22,6 +22,7 @@ from .axial import (
     eigendecompose,
     frobenius_projection,
     frobenius_solve,
+    fusion_verdicts,
     peirce_components,
     primitive_decomposition,
     quasi_definite_basis_check,

@@ -2,14 +2,14 @@
 
 Everything is exact; a "check" either returns booleans or raises one of the errors in
 :mod:`axialq.errors` when a precondition is violated.  ``eigendecompose`` alone builds
-Peirce data, and each algebra keeps what it built, so an axis is decomposed once for the
-lifetime of its algebra.  The eigenspaces are the kernels of the integer ad matrix
-M = s * ad_axis, read off the integer table ``Algebra.table`` and kept by columns.  Products
-and M are applied as sparse {k: c} dicts, M by adding up only its columns at a vector's keys;
-only dense callers convert.  The spectrum witness packs each column into one int, and an axis's
-projection coefficients are one row vector times M: no product with the axis, no elimination.
-``frobenius_solve`` and ``GramForm.is_invariant`` read the integer invariance equations from
-one function; ``is_invariant`` evaluates them on G scaled once.
+Peirce data, once per axis for the lifetime of its algebra.  The eigenspaces are the kernels
+of the integer ad matrix M = s * ad_axis, read off ``Algebra.table`` and kept by columns,
+but A1 = <axis> with no elimination when the trace of its projector gives dim A1 = 1.
+Products and M are applied as sparse {k: c} dicts, M by adding up only its columns at a
+vector's keys.  The spectrum witness packs each column into one int, and an axis's projection
+coefficients are one row vector times M.  ``fusion_verdicts`` searches one axis per Miyamoto
+orbit and carries its verdict along the involutions.  ``frobenius_solve`` and
+``GramForm.is_invariant`` read the integer invariance equations from one function.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "eigendecompose",
     "primitive_decomposition",
     "check_axis",
+    "fusion_verdicts",
     "check_fusion",
     "frobenius_projection",
     "frobenius_solve",
@@ -103,9 +104,10 @@ def eigendecompose(e: Element) -> EigDecomposition:
 
     With (d, T) = ``Algebra.table`` and u = q e integral, column j of d q ad_e is u e_j
     through T; M = s ad_e for s = d q / gcd(d q, its entries), e is idempotent iff
-    M u = s u (u u = d q u), and the kernels are those of M, 2M - s and M - s.  Built,
-    spectrum witness included, once per idempotent and kept in ``Algebra.decompositions``
-    for the lifetime of its algebra.
+    M u = s u (u u = d q u), and the kernels are those of M, 2M - s and M - s, but A1 = <e>
+    if e is semisimple and tr P1 = 1 for P1 = L(2L - 1) = (2M^2 - sM) / s^2, its projector.
+    Built, spectrum witness included, once per idempotent and kept in
+    ``Algebra.decompositions`` for the lifetime of its algebra.
     """
     A, key = e.algebra, (e.num, e.den)
     dec = A.decompositions.get(key)
@@ -119,11 +121,15 @@ def eigendecompose(e: Element) -> EigDecomposition:
         g = gcd(d * q, *(x for col in cols for x in col.values()))
         rows = [[col.get(i, 0) // g for col in cols] for i in range(n)]
         s = d * q // g
+        m = tuple(tuple(sorted((i, x // g) for i, x in col.items() if x)) for col in cols)
+        semisimple = _spectrum_witness(s, m)
+        trace = sum(x * (2 * rows[j][i] - s * (i == j)) for j, col in enumerate(m) for i, x in col)
+        v1 = [SubspaceBasis(n, [u])] if semisimple and trace == s * s else []  # s^2 tr P1 = s^2
         spaces = [kernel_basis(Matrix._from_rows(tuple(
                       tuple(c * x - t * (i == j) for j, x in enumerate(row))
-                      for i, row in enumerate(rows)), n)) for c, t in ((1, 0), (2, s), (1, s))]
-        m = tuple(tuple(sorted((i, x // g) for i, x in col.items() if x)) for col in cols)
-        dec = A.decompositions[key] = EigDecomposition(e, *spaces, s, m, _spectrum_witness(s, m))
+                      for i, row in enumerate(rows)), n))
+                  for c, t in ((1, 0), (2, s), (1, s))[:3 - len(v1)]]  # M, 2M - s, M - s
+        dec = A.decompositions[key] = EigDecomposition(e, *spaces, *v1, s, m, semisimple)
     return dec
 
 
@@ -167,23 +173,52 @@ def primitive_decomposition(a: Element) -> EigDecomposition:
     return dec
 
 
-def check_axis(e: Element, *, jordan: bool = False) -> AxisReport:
+def check_axis(e: Element, *, fusion: Optional[bool] = None) -> AxisReport:
     """Full axis report: idempotency, spectrum, semisimplicity, primitivity, fusion.
 
     Spectrum and semisimplicity are one fact, the decomposition's witness.  Fusion is
-    ``check_fusion``'s pair-product search, unless the caller has decided that e's algebra
-    satisfies the Jordan identity (``jordan``): there every idempotent's Peirce
-    decomposition obeys the four fusion rules (Jacobson, Structure and Representations of
-    Jordan Algebras, 1968, ch. III; McCrimmon, A Taste of Jordan Algebras, 2004, ch. 8),
-    so a semisimple e passes fusion with no search.
+    ``check_fusion``'s pair-product search, unless the caller supplies the verdict
+    (``fusion``) for a semisimple e: from ``fusion_verdicts``, or true when e's algebra
+    satisfies the Jordan identity, where every idempotent's Peirce decomposition obeys the
+    four fusion rules (Jacobson, Structure and Representations of Jordan Algebras, 1968,
+    ch. III; McCrimmon, A Taste of Jordan Algebras, 2004, ch. 8).
     """
     try:
         dec = eigendecompose(e)
     except NotIdempotent:
         return AxisReport(False, False, False, False, False, None)
 
-    fusion_ok = dec.semisimple and (jordan or check_fusion(dec).all_ok)
+    fusion_ok = dec.semisimple and (check_fusion(dec).all_ok if fusion is None else fusion)
     return AxisReport(True, dec.semisimple, dec.semisimple, dec.v1.dim == 1, fusion_ok, dec)
+
+
+def fusion_verdicts(axes: Sequence[Element]) -> list[bool]:
+    """The fusion verdict of each axis of one algebra, as ``check_axis`` gives it: for a
+    primitive axis p that passes, tau_p(x) = x - 2 x_half = x + 8(M - s)Mx / s^2 is an
+    automorphism (Miyamoto, J. Algebra 179, 1996; Hall, Rehren and Shpectorov, J. Algebra
+    421, 2015), so tau_p(b) has b's verdict, and tau_(tau_p(b)) = tau_p tau_b tau_p: the tau_p
+    of the searched axes generate those of the rest.  Each of them maps each axis with a
+    verdict once, and an axis is searched only when none of them maps onto it.
+    """
+    index = {(a.num, a.den): k for k, a in enumerate(axes)}
+    verdicts, taus, pairs = [None] * len(axes), [], []  # pairs: (tau_p's dec, an axis)
+    for k, a in enumerate(axes):
+        if verdicts[k] is None:
+            report = check_axis(a)
+            if report.fusion_ok and report.primitive:
+                taus.append(report.decomposition)
+                pairs += [(taus[-1], b) for b, v in enumerate(verdicts) if v is not None]
+            verdicts[k] = report.fusion_ok
+            pairs += [(dec, k) for dec in taus]
+        while pairs and None in verdicts:
+            dec, b = pairs.pop()
+            x, s2 = axes[b], dec.s ** 2
+            y = _apply(dec, _apply(dec, dict(_nonzero(x.num)), 8), 1, dec.s)  # 8(M - s)Mx
+            y = _element(x.algebra, [s2 * v + y.get(i, 0) for i, v in enumerate(x.num)], s2 * x.den)
+            if (c := index.get((y.num, y.den))) is not None and verdicts[c] is None:
+                verdicts[c] = verdicts[b]
+                pairs += [(dec, c) for dec in taus]
+    return verdicts
 
 
 def check_fusion(dec: EigDecomposition) -> FusionReport:

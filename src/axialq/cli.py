@@ -28,6 +28,7 @@ from .axial import (
     check_axis,
     frobenius_projection,
     frobenius_solve,
+    fusion_verdicts,
     radical,
 )
 from .errors import AxialError, NotUnit, ParseError
@@ -89,13 +90,14 @@ def analyze_findings(A: Algebra, findings: dict) -> dict:
     Fills findings in place and returns it, so what was found before an
     error stays in the dict.  The Jordan identity is decided first, though
     reported last: on a Jordan algebra each axis's fusion follows from the
-    Peirce theorem (``check_axis`` with jordan true), otherwise from the search.
+    Peirce theorem, otherwise from ``fusion_verdicts``, one search per Miyamoto orbit.
     """
-    findings.update(dimension=A.dim, axis_count=len(A.designated_axes))
+    axes = A.designated_axes
+    findings.update(dimension=A.dim, axis_count=len(axes))
     jordan = jordan_identity_check(A)
     axis_reports = findings["axes"] = []
-    for a in A.designated_axes:
-        rep = check_axis(a, jordan=jordan)
+    for a, fusion in zip(axes, [True] * len(axes) if jordan else fusion_verdicts(axes)):
+        rep = check_axis(a, fusion=fusion)
         axis_reports.append({
             "coords": _coords(a),
             "idempotent": rep.is_idempotent,

@@ -55,7 +55,10 @@ def _recording_init(self, dim, basis_names, cells):
     _SOURCE_GRIDS[id(self)] = self, tuple(tuple(map(tuple, plane)) for plane in grid)
 
 
-Algebra.__init__ = _recording_init
+def pytest_configure(config):
+    """Record grids while the tests run, and only then: a script that imports this module
+    for its helpers builds its algebras without a dense n^3 grid each."""
+    Algebra.__init__ = _recording_init
 
 
 def source_grid(A: Algebra) -> tuple:

@@ -17,6 +17,7 @@ from axialq import (
     eigendecompose,
     frobenius_projection,
     frobenius_solve,
+    fusion_verdicts,
     ideal_closure,
     jordan_identity_check,
     make_algebra,
@@ -50,6 +51,7 @@ from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 
 from conftest import (
     by_name,
+    circle_axes,
     direct_sum,
     dynkin_cartan,
     fusion_break,
@@ -478,6 +480,57 @@ def test_spectrum_witness_matches_dense_fraction_product(algebras):
     assert _witness_agrees(dec.axis) is False
 
 
+@functools.cache
+def _registry_idempotents():
+    """Every designated and spanning axis and unit of the registry, every sum of two
+    orthogonal such axes, and the axes of Matsuo(W(D4))."""
+    idempotents = []
+    for info in registry():
+        axes = list(dict.fromkeys(info.A.designated_axes + (info.spanning_axes or ())))
+        idempotents += axes + ([info.unit] if info.unit else [])
+        idempotents += [a + b for a, b in itertools.combinations(axes, 2) if (a * b).is_zero()]
+    idempotents += matsuo(weyl_reflections(dynkin_cartan("D", 4)))[0].designated_axes
+    return list(dict.fromkeys(idempotents))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trace_dimension_of_v1_matches_the_kernel(data):
+    """dim A1 = (2 tr M^2 - s tr M) / s^2 on a semisimple idempotent, from the dense M, equals
+    the dimension of kernel_basis(M - s), and v1 has the kernel's rows, whether eigendecompose
+    read v1 off the trace (dim 1) or eliminated M - s."""
+    e = data.draw(st.sampled_from(_registry_idempotents()))
+    dec, n = eigendecompose(e), e.algebra.dim
+    m = [[0] * n for _ in range(n)]
+    for j, col in enumerate(dec.cols):
+        for i, x in col:
+            m[i][j] = x
+    kernel = kernel_basis(Matrix([[x - dec.s * (i == j) for j, x in enumerate(row)]
+                                  for i, row in enumerate(m)]))
+    trace2 = sum(m[i][j] * m[j][i] for i in range(n) for j in range(n))
+    dim = F(2 * trace2 - dec.s * sum(m[i][i] for i in range(n)), dec.s ** 2)
+    assert dec.semisimple and dim == kernel.dim, e
+    assert dec.v1.rows == kernel.rows and dec.v1.pivots == kernel.pivots, e
+
+
+def test_non_semisimple_idempotents_eliminate_m_minus_s(monkeypatch):
+    """spectrum-break (e u = u/3) and the Jordan-block table fail the witness, so their v1
+    is a kernel of the three eliminated, and primitive is true, as dim ker(M - s) = 1 gives;
+    the primitive axis of fusion_break takes v1 = <e> from the trace and eliminates twice."""
+    from axialq import axial
+    kernels = []
+    original = axial.kernel_basis
+    monkeypatch.setattr(axial, "kernel_basis", lambda m: kernels.append(original(m)) or kernels[-1])
+    spectrum_break = _sparse_algebra(["e", "u"], {(0, 0): {0: 1}, (0, 1): {1: F(1, 3)}})
+    for A, semisimple in ((spectrum_break, False), (jordan_block(), False), (fusion_break(), True)):
+        report = check_axis(A.designated_axes[0])
+        v1 = report.decomposition.v1
+        assert report.semisimple is semisimple and report.primitive is (v1.dim == 1) is True
+        assert len(kernels) == 3 - semisimple
+        assert any(k is v1 for k in kernels) is not semisimple
+        kernels.clear()
+
+
 _HUGE = st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
 
 
@@ -526,6 +579,59 @@ def test_miyamoto_is_order_two_automorphism():
                 assert tau(v) == -v
             for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
                 assert tau(multiply(basis[i], basis[j])) == multiply(tau(basis[i]), tau(basis[j]))
+
+
+def test_fusion_verdicts_match_the_search_on_every_axis():
+    """The verdicts carried along Miyamoto orbits equal check_axis's search on each axis:
+    the designated and spanning axes of every registry algebra, circle axes of the spin
+    factor, non-idempotent and non-semisimple axes, Matsuo(W(D4)) and Matsuo(W(D5)),
+    fusion_break, and fusion_break + Matsuo(S3), a failing axis beside passing ones.  In
+    Matsuo(S3) tau_b swaps a and c, so it carries the failing verdict of 2a to 2c."""
+    a, b, c = by_name("matsuo_s3").A.designated_axes
+    lists = [axes for info in registry()
+             for axes in (info.A.designated_axes, info.spanning_axes) if axes]
+    lists += [circle_axes(), (2 * circle_axes()[0],) + circle_axes()[:3], (b, 2 * a, 2 * c),
+              jordan_block().designated_axes, fusion_break().designated_axes]
+    lists += [matsuo(weyl_reflections(dynkin_cartan("D", r)))[0].designated_axes for r in (4, 5)]
+    mixed = direct_sum(fusion_break(), matsuo(sn_transpositions(3))[0]).designated_axes
+    for axes in lists + [mixed]:
+        assert fusion_verdicts(axes) == [check_axis(a).fusion_ok for a in axes], axes
+    assert fusion_verdicts(mixed) == [False, True, True, True]
+
+
+def test_only_primitive_axes_that_pass_transport(monkeypatch):
+    """fusion_verdicts applies tau_p only where it is an automorphism, for a primitive p that
+    passes: not for the failing axis of fusion_break + Matsuo(S3), and not for e in the algebra
+    e e = e, e f = f, e h = h/2, f f = h, where e passes the four rules with A1 = <e, f>, but
+    f f = h is odd, so tau_e is not one.  Searches apply M to their own axis only."""
+    from axialq import axial
+    searching, applied = [], []
+    check_fusion, apply = axial.check_fusion, axial._apply
+
+    def searched(dec):
+        searching.append(dec)
+        try:
+            return check_fusion(dec)
+        finally:
+            searching.pop()
+
+    def applying(dec, *rest):
+        if not searching:
+            applied.append(dec.axis)
+        return apply(dec, *rest)
+
+    monkeypatch.setattr(axial, "check_fusion", searched)
+    monkeypatch.setattr(axial, "_apply", applying)
+    odd = _sparse_algebra(["e", "f", "h"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: HALF},
+                                             (1, 1): {2: 1}})
+    e, h = odd.basis_element(0), odd.basis_element(2)
+    mixed = direct_sum(fusion_break(), matsuo(sn_transpositions(3))[0]).designated_axes
+    for axes, expected in (((e, e + h, e - h), [True] * 3), (mixed, [False, True, True, True])):
+        report = check_axis(axes[0])
+        assert report.fusion_ok is expected[0] and report.primitive is (axes is mixed)
+        assert fusion_verdicts(axes) == expected
+        assert axes[0] not in applied
+        applied.clear()
 
 
 def test_peirce_components_reassemble():
@@ -1015,8 +1121,10 @@ def test_analyze_takes_no_form_value(monkeypatch):
 
 
 def test_fusion_checked_only_where_read(monkeypatch):
-    """analyze searches fusion only on a non-Jordan algebra, once per designated axis; on a
-    Jordan algebra the Peirce theorem gives it.  The form, capacity and unit never search."""
+    """analyze searches fusion only on a non-Jordan algebra, at most once per Miyamoto orbit:
+    on W(D4), whose 12 axes are one orbit, at most rank-many times, since each search that
+    passes adds a reflection's involution; on a Jordan algebra the Peirce theorem gives it.
+    The form, capacity and unit never search."""
     from axialq import axial, build_unit, capacity_decomposition, find_unit
     calls = []
     original = axial.check_fusion
@@ -1030,10 +1138,11 @@ def test_fusion_checked_only_where_read(monkeypatch):
     findings = analyze_findings(A, {})
     assert findings["jordan"] and all(a["fusion"] for a in findings["axes"])
     assert calls == []
-    for B in (matsuo(weyl_reflections(dynkin_cartan("D", 4)))[0], fusion_break()):
+    for B, most in ((matsuo(weyl_reflections(dynkin_cartan("D", 4)))[0], 4), (fusion_break(), 1)):
         findings = analyze_findings(B, {})
         assert not findings["jordan"]
-        assert calls == list(B.designated_axes)  # one per designated axis
+        assert 1 <= len(calls) <= most and len(set(calls)) == len(calls)
+        assert set(calls) <= set(B.designated_axes)
         calls.clear()
     axes = list(A.designated_axes)
     g, _ = frobenius_solve(A, axes)

@@ -8,17 +8,18 @@ but A1 = <axis> with no elimination when the trace of its projector gives dim A1
 Products and M are applied as sparse {k: c} dicts, M by adding up only its columns at a
 vector's keys.  The spectrum witness packs each column into one int, and an axis's projection
 coefficients are one row vector times M.  ``fusion_verdicts`` searches one axis per Miyamoto
-orbit and carries its verdict along the involutions.  ``frobenius_solve`` and
-``GramForm.is_invariant`` read the integer invariance equations from one function.
+orbit and carries its verdict along the involutions.  Invariance is decided once per form, as
+the symmetry of the n products T_j G, and ``radical`` runs no closure on its kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .algcore import Algebra, Element, _element, _nonzero, _product, ideal_closure
+from .algcore import Algebra, Element, _element, _nonzero, _product
 from .errors import (
     AlgebraMismatch,
     Inconsistent,
@@ -266,14 +267,11 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
 
 
 def _invariance_equations(A: Algebra) -> tuple[list[list[int]], Iterator[list[tuple[int, int]]]]:
-    """The Gram unknowns and the invariance equations on them, in integers.
-
-    g(p, q) = g(q, p) is unknown number index[p][q], numbered row by row along the
-    upper triangle.  Each equation d((e_i e_j, e_k) - (e_i, e_j e_k)) = 0, d the
-    denominator of ``A.table``, for every j and every i < k, is yielded as a list
-    of (unknown, integer coefficient) pairs, where an unknown may recur.  With a
-    commutative product and a symmetric form, the equation for (k, j, i) is minus that
-    for (i, j, k) and the one for (i, j, i) is 0, so these say all that n^3 triples say.
+    """The Gram unknowns and the invariance equations on them, in integers, for the solve:
+    g(p, q) = g(q, p) is unknown index[p][q], numbered along the upper triangle, and each
+    d((e_i e_j, e_k) - (e_i, e_j e_k)) = 0, d the denominator of ``A.table``, is a list of
+    (unknown, integer coefficient) pairs, an unknown possibly recurring, for every j and
+    i < k: the product commutes and the form is symmetric, so the other triples repeat these.
     """
     n, (_, table) = A.dim, A.table
     index = [[0] * n for _ in range(n)]
@@ -285,17 +283,16 @@ def _invariance_equations(A: Algebra) -> tuple[list[list[int]], Iterator[list[tu
 
 
 class GramForm:
-    """Exact symmetric Gram matrix of the Frobenius form on the algebra basis."""
+    """Exact symmetric Gram matrix of a form on the algebra basis; invariance is kept once known."""
 
-    __slots__ = ("algebra", "gram")
+    __slots__ = ("algebra", "gram", "_invariant")
 
     def __init__(self, algebra: Algebra, gram: Matrix):
         if gram.rows != algebra.dim or gram.cols != algebra.dim:
             raise ValueError("Gram matrix shape != algebra dimension")
         if gram.entries() != tuple(zip(*gram.entries())):
             raise InvariantViolation("Gram matrix is not symmetric")
-        self.algebra = algebra
-        self.gram = gram
+        self.algebra, self.gram, self._invariant = algebra, gram, None
 
     def value(self, x: Element, y: Element) -> Fraction:
         if x.algebra is not self.algebra or y.algebra is not self.algebra:
@@ -304,10 +301,21 @@ class GramForm:
         return sum((a * b for a, b in zip(x.num, gv) if a), Fraction(0)) / (x.den * y.den)
 
     def is_invariant(self) -> bool:
-        """(xy, z) = (x, yz) on all basis triples, decided in integers on G scaled once."""
-        _, g = _integral([v for p, row in enumerate(self.gram.entries()) for v in row[p:]])
-        return all(sum(c * g[u] for u, c in eq) == 0
-                   for eq in _invariance_equations(self.algebra)[1])
+        """(xy, z) = (x, yz) on basis triples, decided once and kept.  Row i of F_j = T_j G sums
+        c G[l] over (l, c) in T[i][j]: F_j[i][k], F_j[k][i] are (e_i e_j, e_k), (e_i, e_j e_k)."""
+        if self._invariant is None:
+            (_, table), n = self.algebra.table, self.algebra.dim
+            _, g = _integral([v for r in self.gram.entries() for v in r])  # G in integers
+            g = [g[k:k + n] for k in range(0, n * n, n)]
+
+            def rows(j):  # F_j: row i is the sum of c G[l] over (l, c) in T[i][j]
+                for t in table:
+                    r = (0,) * n
+                    for l, c in t[j]:
+                        r = map(add, r, g[l] if c == 1 else [c * a for a in g[l]])
+                    yield tuple(r)
+            self._invariant = all(fj == list(zip(*fj)) for fj in (list(rows(j)) for j in range(n)))
+        return self._invariant
 
     def __eq__(self, other):
         return (isinstance(other, GramForm) and self.algebra is other.algebra
@@ -393,17 +401,18 @@ def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]
     x, free_dim = _solve(rows(), nun)
     if x is None:
         raise Inconsistent("no invariant normalized form exists for these axes")
-    return GramForm(A, Matrix([[x[u] for u in row] for row in index])), free_dim
+    form = GramForm(A, Matrix([[x[u] for u in row] for row in index]))
+    form._invariant = True  # its entries solve the invariance equations
+    return form, free_dim
 
 
 def radical(A: Algebra, g: GramForm) -> SubspaceBasis:
-    """Kernel of the Gram matrix; checked to be an ideal free of axes."""
+    """Kernel of the invariant form g on A, free of axes: an ideal, as (xy, z) = (x, yz) = 0."""
+    if g.algebra is not A or not g.is_invariant():
+        raise InvariantViolation("the form is not an invariant form on A")
     ker = kernel_basis(g.gram)
-    if ideal_closure(A, [A.element(row) for row in ker.rows]) != ker:
-        raise InvariantViolation("form kernel is not an ideal")
-    for a in A.designated_axes:
-        if ker.contains(a.num):
-            raise InvariantViolation("a designated axis lies in the radical")
+    if any(ker.contains(a.num) for a in A.designated_axes):
+        raise InvariantViolation("a designated axis lies in the radical")
     return ker
 
 

@@ -289,6 +289,19 @@ def jordan_block() -> Algebra:
     return make_algebra(3, ["e", "u", "w"], table, [[one, z, z]])
 
 
+def non_jordan() -> Algebra:
+    """Basis e, x, y with e e = e, x x = y, y y = x and every other product 0.
+
+    The axis e passes every axis check, but the Jordan identity fails on x, and the form
+    solved from e alone has the radical <x, y>.
+    """
+    z, one = Fraction(0), Fraction(1)
+    table = [[[one, z, z], [z, z, z], [z, z, z]],
+             [[z, z, z], [z, z, one], [z, z, z]],
+             [[z, z, z], [z, z, z], [z, one, z]]]
+    return make_algebra(3, ["e", "x", "y"], table, [[one, z, z]])
+
+
 def by_name(name: str) -> AlgInfo:
     for info in registry():
         if info.name == name:

@@ -57,6 +57,7 @@ from conftest import (
     fusion_break,
     jordan_block,
     miyamoto_image,
+    non_jordan,
     registry,
     source_grid,
     weyl_reflections,
@@ -884,6 +885,28 @@ def test_is_invariant_matches_full_check(name, data):
     assert GramForm(A, perturbed).is_invariant() == _reference_is_invariant(A, perturbed)
 
 
+@pytest.mark.parametrize("name", ["matsuo_s4", "m3", "twogen_14", "W(D4)"])
+def test_is_invariant_matches_full_check_on_every_one_entry_perturbation(name):
+    """Invariance is linear in G and the Frobenius Gram G is invariant, so G + t(E_ij + E_ji)
+    is invariant iff E_ij + E_ji is, whatever t != 0: one perturbation per entry i <= j
+    covers every symmetric one-entry change.  B(1/4)'s table has denominator 4, and
+    Matsuo(W(D4)) is not Jordan."""
+    if name == "W(D4)":
+        A, _ = matsuo(weyl_reflections(dynkin_cartan("D", 4)))
+        gram = frobenius_projection(A, list(A.designated_axes)).gram
+    else:
+        A, gram = by_name(name).A, by_name(name).g.gram
+    verdicts = []
+    for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
+        entries = [list(r) for r in gram.entries()]
+        entries[i][j] += F(1, 3)
+        entries[j][i] = entries[i][j]
+        perturbed = Matrix(entries)
+        verdicts.append(GramForm(A, perturbed).is_invariant())
+        assert verdicts[-1] == _reference_is_invariant(A, perturbed), (name, i, j)
+    assert len(verdicts) == A.dim * (A.dim + 1) // 2 and not all(verdicts)
+
+
 def test_solved_forms_pass_the_full_invariance_check():
     """gram_for reports the solve's form invariant unchecked: its rows are the invariance
     equations.  The n^3 reference agrees on the designated axes of every registry algebra,
@@ -944,6 +967,41 @@ def test_radical_rejects_non_ideal_kernel():
                                [F(0), F(0), F(2)]]))
     with pytest.raises(InvariantViolation):
         radical(A, fake)
+
+
+def test_radical_runs_no_closure_and_returns_an_ideal(monkeypatch):
+    """The kernel of an invariant form is an ideal: (xy, z) = (x, yz) = 0 for x in it.  So
+    ``radical`` runs no closure (every closure goes through ``algcore._closure``), and what
+    it returns is its own ideal closure, on every registry algebra, on Matsuo(W(D4)) and on
+    the non-Jordan table, whose radicals are nonzero."""
+    from axialq import algcore
+    from axialq.cli import gram_for
+    cases = [(info.A, info.g) for info in registry()]
+    cases += [(A, gram_for(A)[0]) for A in (matsuo(weyl_reflections(dynkin_cartan("D", 4)))[0],
+                                            non_jordan())]
+    closures, original = [], algcore._closure
+    monkeypatch.setattr(algcore, "_closure", lambda *args: closures.append(args) or original(*args))
+    rads = [radical(A, g) for A, g in cases]
+    assert closures == []
+    assert [r.dim for r in rads[-2:]] == [2, 2]
+    for (A, _), rad in zip(cases, rads):
+        assert ideal_closure(A, [A.element(row) for row in rad.rows]) == rad
+
+
+def test_radical_rejects_a_form_that_is_not_invariant():
+    """The identity Gram on Matsuo(S3) is symmetric with kernel 0, but (e_1 e_1, e_2) = 0 and
+    (e_1, e_1 e_2) = 1/4: ``radical`` raises instead of returning dimension 0.  An invariant
+    form of another copy of the algebra is rejected too."""
+    A, _ = matsuo(sn_transpositions(3))
+    identity = GramForm(A, Matrix([[F(int(i == j)) for j in range(3)] for i in range(3)]))
+    assert kernel_basis(identity.gram).is_zero() and not identity.is_invariant()
+    with pytest.raises(InvariantViolation):
+        radical(A, identity)
+    B, _ = matsuo(sn_transpositions(3))
+    g = frobenius_projection(B, list(B.designated_axes))
+    assert g.is_invariant() and radical(B, g).is_zero()
+    with pytest.raises(InvariantViolation):
+        radical(A, g)
 
 
 def test_subspace_work_leaves_the_fraction_view_unbuilt(monkeypatch):
@@ -1041,15 +1099,17 @@ def test_positive_definite_forms_are_quasi_definite(algebras):
 
 
 def test_invariance_checked_once_per_analysis(monkeypatch):
-    """gram_for's forms are invariant by construction: analyze checks invariance only inside
+    """gram_for's forms are invariant by construction: analyze decides invariance only inside
     the projection, once on spanning Matsuo(S4), and never on spin(1, 1), whose 2 axes in
-    dimension 3 leave the form to the solve."""
+    dimension 3 leave the form to the solve.  ``radical`` reads the kept verdict through
+    ``is_invariant``, so only the calls that find no verdict kept are decisions."""
     from axialq import axial
     calls = []
     original = axial.GramForm.is_invariant
 
     def counting(form):
-        calls.append(form.algebra)
+        if form._invariant is None:
+            calls.append(form.algebra)
         return original(form)
 
     monkeypatch.setattr(axial.GramForm, "is_invariant", counting)

@@ -15,9 +15,10 @@ the symmetry of the n products T_j G, and ``radical`` runs no closure on its ker
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd
 from operator import add
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algcore import Algebra, Element, _element, _nonzero, _product
 from .errors import (
@@ -266,22 +267,6 @@ def peirce_components(dec: EigDecomposition, x: Element) -> tuple[Element, Eleme
             _element(A, xh, den), Fraction(x1[p] * axis.den, den * axis.num[p]))
 
 
-def _invariance_equations(A: Algebra) -> tuple[list[list[int]], Iterator[list[tuple[int, int]]]]:
-    """The Gram unknowns and the invariance equations on them, in integers, for the solve:
-    g(p, q) = g(q, p) is unknown index[p][q], numbered along the upper triangle, and each
-    d((e_i e_j, e_k) - (e_i, e_j e_k)) = 0, d the denominator of ``A.table``, is a list of
-    (unknown, integer coefficient) pairs, an unknown possibly recurring, for every j and
-    i < k: the product commutes and the form is symmetric, so the other triples repeat these.
-    """
-    n, (_, table) = A.dim, A.table
-    index = [[0] * n for _ in range(n)]
-    for u, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
-        index[p][q] = index[q][p] = u
-    return index, ([(index[l][k], c) for l, c in table[i][j]]
-                   + [(index[i][l], -c) for l, c in table[j][k]]
-                   for j in range(n) for i in range(n) for k in range(i + 1, n))
-
-
 class GramForm:
     """Exact symmetric Gram matrix of a form on the algebra basis; invariance is kept once known."""
 
@@ -297,7 +282,7 @@ class GramForm:
     def value(self, x: Element, y: Element) -> Fraction:
         if x.algebra is not self.algebra or y.algebra is not self.algebra:
             raise AlgebraMismatch("elements live in another algebra than the form")
-        gv = self.gram.apply(y.num)
+        gv = [sum(a * b for a, b in zip(row, y.num)) for row in self.gram.entries()]
         return sum((a * b for a, b in zip(x.num, gv) if a), Fraction(0)) / (x.den * y.den)
 
     def is_invariant(self) -> bool:
@@ -370,27 +355,33 @@ def frobenius_projection(A: Algebra, spanning_axes: Sequence[Element]) -> GramFo
 def frobenius_solve(A: Algebra, axes: Sequence[Element]) -> tuple[GramForm, int]:
     """Frobenius form as the solution of the invariance + normalization system.
 
-    The unknowns are the Gram entries g(i, j), i <= j.  The nonzero rows of
-    ``_invariance_equations`` span every (e_i e_j, e_k) = (e_i, e_j e_k) at half the n^3
-    rows, so the canonical elimination, and the solution read off it, is that of the full
-    system.  Each axis adds the row (a, a) = 1, in integers as (a.num, a.num) = a.den^2, so
-    the system stays integral and the form is normalized on every axis given, exactly.
-    The rows stream in sparse, and once every unknown pivots the rest are only checked.
-    Returns a solution, with free unknowns set to 0, together with the dimension of the
-    homogeneous solution space (0 means the form is unique).
+    The unknowns are the Gram entries g(p, q) = g(q, p), numbered along the upper triangle.
+    Each d((e_i e_j, e_k) - (e_i, e_j e_k)) = 0, d the denominator of ``A.table``, is read
+    off T for every j and i < k: the product commutes and the form is symmetric, so the
+    other triples repeat these, and the canonical elimination, and the solution read off
+    it, is that of the full system of n^3 rows.  Each axis adds the row (a, a) = 1, in
+    integers as (a.num, a.num) = a.den^2, so the system stays integral and the form is
+    normalized on every axis given, exactly.  The rows stream in sparse, and once every
+    unknown pivots the rest are only checked.  Returns a solution, with free unknowns set
+    to 0, together with the dimension of the homogeneous solution space (0 means the form
+    is unique).
     """
     if not axes:
         raise ValueError("at least one axis is required for normalization")
-    n = A.dim
-    index, invariance = _invariance_equations(A)
+    n, (_, table) = A.dim, A.table
     nun = n * (n + 1) // 2
+    index = [[0] * n for _ in range(n)]
+    for u, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
+        index[p][q] = index[q][p] = u
 
     def rows():  # sparse integer rows, the right-hand side at column nun
-        for eq in invariance:
-            row = {}
-            for u, c in eq:
-                row[u] = row.get(u, 0) + c
-            yield {u: c for u, c in row.items() if c}
+        for j, i in product(range(n), repeat=2):
+            for k in range(i + 1, n):
+                row = {}
+                for u, c in chain(((index[l][k], c) for l, c in table[i][j]),
+                                  ((index[i][l], -c) for l, c in table[j][k])):
+                    row[u] = row.get(u, 0) + c
+                yield {u: c for u, c in row.items() if c}
         for a in axes:
             row = {nun: a.den * a.den}
             for i, ai in _nonzero(a.num):

@@ -68,7 +68,8 @@ def gram_for(A: Algebra, generators: Sequence[Element] = ()) -> tuple[GramForm, 
     is the unique solution.  If it fails the solve runs first: Inconsistent wins.
     Either way the form is invariant and (a, a) = 1 on every axis used, by construction:
     the projection checks invariance and solves a^T G = phi_a exactly, and the solve's
-    rows are the invariance equations and (a, a) = 1, which ``exactla.solve`` satisfies.
+    rows are the invariance equations and (a, a) = 1, which the solution of
+    ``frobenius_solve`` (on ``exactla._solve``) satisfies.
     """
     axes = list(A.designated_axes) or list(generators)
     if not axes:
@@ -328,12 +329,15 @@ def _verify(af: AlgebraFile, args, findings: dict) -> bool:
         results.append({"pair": [i, j], "alpha": format_rational(rep.alpha),
                         "all_ok": rep.all_ok})
         ok = ok and rep.all_ok
-    if triple_count:
-        all_triples = list(itertools.permutations(range(len(axes)), 3))
+    n = len(axes)
+    if triple_count and n >= 3:
         for _ in range(triple_count):
-            if not all_triples:
-                break
-            (i, j, k) = rng.choice(all_triples)
+            # the t-th triple of itertools.permutations(range(n), 3), t drawn as rng.choice would
+            i, r = divmod(rng.randrange(n * (n - 1) * (n - 2)), (n - 1) * (n - 2))
+            j, k = divmod(r, n - 2)
+            j += j >= i
+            for m in sorted((i, j)):
+                k += k >= m
             try:
                 res = triple_form_identity(axes[i], axes[j], axes[k], g)
             except AxialError as exc:

@@ -42,7 +42,8 @@ def vec(entries: Iterable) -> Vector:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals; ``apply`` is its only arithmetic."""
+    """Immutable dense matrix of exact rationals: a shape for input and reports, with no
+    arithmetic; the library computes on integer rows."""
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -77,13 +78,6 @@ class Matrix:
 
     def __hash__(self):
         return hash(self._e)
-
-    def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product."""
-        v = vec(v)
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self._e)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self._e)
@@ -219,14 +213,6 @@ class SubspaceBasis:
         """Coordinates of v in this basis, or None if v is outside: v's entries at the
         pivot columns, once ``contains`` holds."""
         return tuple(_frac(v[p]) for p in self.pivots) if self.contains(v) else None
-
-    def lift(self, coords: Sequence) -> Vector:
-        """The ambient vector with the given coordinates in this basis."""
-        q, c = _integral(coords)
-        if len(c) != self.dim:
-            raise ValueError("coordinate length != subspace dimension")
-        q *= self.den
-        return tuple(Fraction(x, q) for x in _combine(c, self.rows, self.ambient_dim))
 
     def intersection(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """Exact intersection: the combinations of self's rows that the integer kernel of

@@ -24,6 +24,7 @@ from .axial import (
     HALF,
     GramForm,
     eigendecompose,
+    frobenius_projection,
     peirce_components,
     primitive_decomposition,
     quasi_definite_basis_check,
@@ -41,7 +42,7 @@ from .errors import (
     ResidualNonzero,
     SameAxis,
 )
-from .exactla import Matrix, SubspaceBasis, _combine
+from .exactla import SubspaceBasis, _combine
 
 __all__ = [
     "PairDecomposition",
@@ -296,15 +297,6 @@ def word_to_axis(A: Algebra, G: Sequence[Element], w: Word,
     return axis, scale, corr
 
 
-def _restricted_gram(g: GramForm, span: SubspaceBasis, sub: Algebra) -> GramForm:
-    """The form on the subspace, in the basis rows / den of ``span``."""
-    rows, d2 = [], span.den * span.den
-    for u in span.rows:
-        gu = g.gram.apply(u)
-        rows.append([sum(x * y for x, y in zip(v, gu)) / d2 for v in span.rows])
-    return GramForm(sub, Matrix(rows))
-
-
 def _select_axis_basis(candidates: Sequence[Element], target: SubspaceBasis,
                        g: GramForm) -> list[Element]:
     """Greedy independent, pairwise (x,y) != 1 subset spanning the target."""
@@ -326,14 +318,19 @@ def _select_axis_basis(candidates: Sequence[Element], target: SubspaceBasis,
 
 
 def _unit_recursion(A: Algebra, X: Sequence[Element], g: GramForm) -> Element:
-    """The unit of A from a quasi-definite axis basis X."""
+    """The unit of A from a quasi-definite axis basis X and the Frobenius form g.
+
+    Each level's form is the projection form of its selected axes: they span A_0(a), g is
+    invariant and (x, x) = 1 on each of them, and on spanning primitive axes the invariant
+    form with (x, x) = 1 is unique (see ``cli.gram_for``), so it is g restricted to A_0(a).
+    """
     a = X[0]
     if A.dim == 1:
         return a
     v0 = eigendecompose(a).v0
     basis0 = _select_axis_basis(a0_axis_basis(a, X, g), v0, g)
     sub, sub_axes = restrict_to_subspace(A, v0, basis0)
-    e0_sub = _unit_recursion(sub, sub_axes, _restricted_gram(g, v0, sub))
+    e0_sub = _unit_recursion(sub, sub_axes, frobenius_projection(sub, sub_axes))
     return _element(A, _combine(e0_sub.num, v0.rows, A.dim), e0_sub.den * v0.den) + a
 
 

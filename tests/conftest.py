@@ -37,6 +37,7 @@ from axialq.constructions import (
     sym_jordan_prime,
     two_gen_algebra,
 )
+from axialq.exactla import Matrix, SubspaceBasis
 from axialq.jordanhalf import x_of
 
 HALF = Fraction(1, 2)
@@ -300,6 +301,27 @@ def non_jordan() -> Algebra:
              [[z, z, z], [z, z, one], [z, z, z]],
              [[z, z, z], [z, z, z], [z, one, z]]]
     return make_algebra(3, ["e", "x", "y"], table, [[one, z, z]])
+
+
+def matvec(m: Matrix, v) -> tuple:
+    """The matrix-vector product m v, an oracle the library does not compute."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.entries())
+
+
+def combination(span: SubspaceBasis, coords) -> tuple:
+    """The vector with the given coordinates in the basis ``span.vectors``."""
+    return tuple(sum((c * v[k] for c, v in zip(coords, span.vectors)), Fraction(0))
+                 for k in range(span.ambient_dim))
+
+
+def restricted_gram(g: GramForm, span: SubspaceBasis, sub: Algebra) -> GramForm:
+    """The form g on the subspace, in the basis rows / den of ``span`` that
+    ``restrict_to_subspace`` gives ``sub``: the reference for a sub-form."""
+    rows, d2 = [], span.den * span.den
+    for u in span.rows:
+        gu = matvec(g.gram, u)
+        rows.append([sum(x * y for x, y in zip(v, gu)) / d2 for v in span.rows])
+    return GramForm(sub, Matrix(rows))
 
 
 def by_name(name: str) -> AlgInfo:

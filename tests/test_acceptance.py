@@ -40,16 +40,18 @@ from axialq.constructions import (
 from axialq.errors import AxialError
 from axialq.exactla import Matrix, SubspaceBasis, rref
 from axialq.fileio import AlgebraFile
-from axialq.jordanhalf import _restricted_gram
 
 from conftest import (
     axis_pairs,
     by_name,
     circle_axes,
+    combination,
     isomorphic_by,
+    matvec,
     miyamoto_image,
     random_element,
     registry,
+    restricted_gram,
 )
 
 F = Fraction
@@ -115,7 +117,7 @@ def test_criterion_02_matrix_jordan_reproduction():
                          for c in range(n) for d in range(n)]
                         for a2 in range(n) for b in range(n)])
         def val(x, y):
-            gv = trace.apply(y.coords)
+            gv = matvec(trace, y.coords)
             return sum(p * q for p, q in zip(x.coords, gv))
         for x, y in itertools.combinations(axes, 2):
             assert val(x, y) != 1
@@ -180,8 +182,8 @@ def test_criterion_04_identity_suite():
             even = SubspaceBasis(info.A.dim, dec.v0.vectors + dec.v1.vectors)
             for _ in range(5):
                 x = random_element(info.A, rng)
-                z = info.A.element(even.lift(
-                    [F(rng.randint(-3, 3)) for _ in range(even.dim)]))
+                z = info.A.element(combination(
+                    even, [F(rng.randint(-3, 3)) for _ in range(even.dim)]))
                 assert multiply(a, multiply(x, z)) == multiply(multiply(a, x), z)
                 seress_count += 1
     assert seress_count >= 200
@@ -260,10 +262,10 @@ def test_criterion_07_radical_behavior():
             if dec.v0.dim == 0:
                 continue
             sub, _ = restrict_to_subspace(info.A, dec.v0)
-            g_sub = _restricted_gram(info.g, dec.v0, sub)
+            g_sub = restricted_gram(info.g, dec.v0, sub)
             r_sub = radical(sub, g_sub)
             lifted = SubspaceBasis(info.A.dim,
-                                   [dec.v0.lift(v) for v in r_sub.vectors])
+                                   [combination(dec.v0, v) for v in r_sub.vectors])
             assert lifted == amb.intersection(dec.v0), (info.name, a)
             checked += 1
     assert checked >= 30
@@ -298,7 +300,7 @@ def test_criterion_09_property_suite_integrity():
             spaces = [dec.v0, dec.v_half, dec.v1]
             for s, t in itertools.combinations(spaces, 2):
                 for uvec in s.vectors:
-                    gu = info.g.gram.apply(uvec)
+                    gu = matvec(info.g.gram, uvec)
                     for wvec in t.vectors:
                         assert sum(x * y for x, y in zip(wvec, gu)) == 0
 

@@ -31,8 +31,8 @@ from axialq.errors import (
 from axialq.exactla import Matrix, SubspaceBasis, solve
 from axialq.fileio import AlgebraFile
 
-from conftest import (by_name, direct_sum, dynkin_cartan, fusion_break, random_element,
-                      registry, source_grid, weyl_reflections)
+from conftest import (by_name, combination, direct_sum, dynkin_cartan, fusion_break,
+                      random_element, registry, source_grid, weyl_reflections)
 
 F = Fraction
 
@@ -165,7 +165,7 @@ def test_restrict_to_subspace_roundtrip():
             up_i = A.element(dec.v0.vectors[i])
             up_j = A.element(dec.v0.vectors[j])
             down = multiply(sub.basis_element(i), sub.basis_element(j))
-            assert dec.v0.lift(down.coords) == multiply(up_i, up_j).coords
+            assert combination(dec.v0, down.coords) == multiply(up_i, up_j).coords
 
 
 def test_restrict_rejects_unclosed_subspace():

@@ -68,6 +68,27 @@ def test_public_names_have_a_caller():
     assert unreached == set()
 
 
+def test_public_methods_have_a_caller():
+    """Every public method or property of a class that axialq defines and a module's __all__
+    names is read in src/axialq or named in bench/*.py; NamedTuple fields are data."""
+    read = set()
+    for path in (ROOT / "src" / "axialq").glob("*.py"):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+    read |= set(re.findall(r"\w+", "\n".join(p.read_text() for p in BENCH.glob("*.py"))))
+    kinds = (property, classmethod, staticmethod, type(lambda: 0))
+    unreached = set()
+    for name in MODULES:
+        module = importlib.import_module(f"axialq.{name}")
+        for n in getattr(module, "__all__", ()):
+            cls = getattr(module, n)
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                unreached |= {f"{name}.{n}.{m}" for m, attr in vars(cls).items()
+                              if not m.startswith("_") and isinstance(attr, kinds)
+                              and m not in read}
+    assert unreached == set()
+
+
 # the package __init__ imports only to re-export; test_package_reexports_exist covers it
 SOURCES = [p for p in sorted((ROOT / "src" / "axialq").glob("*.py")) if p.name != "__init__.py"] \
     + sorted((ROOT / "tests").glob("*.py"))

@@ -52,6 +52,7 @@ from axialq.exactla import Matrix, SubspaceBasis, kernel_basis, rref, solve
 from conftest import (
     by_name,
     circle_axes,
+    combination,
     direct_sum,
     dynkin_cartan,
     fusion_break,
@@ -667,8 +668,8 @@ def _stacked_solve_components(dec, x):
     coords, _ = solve(Matrix(list(zip(*cols))), x.coords)
     d0, dh = dec.v0.dim, dec.v_half.dim
     A = x.algebra
-    return (A.element(dec.v0.lift(coords[:d0])),
-            A.element(dec.v_half.lift(coords[d0:d0 + dh])), coords[d0 + dh])
+    return (A.element(combination(dec.v0, coords[:d0])),
+            A.element(combination(dec.v_half, coords[d0:d0 + dh])), coords[d0 + dh])
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,15 +5,17 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axialq import fileio
+from axialq import cli, fileio
 from axialq.algcore import make_algebra, multiply, restrict_to_subspace
 from axialq.axial import eigendecompose, frobenius_solve
 from axialq.cli import MAX_WORD_DEPTH, _build_parser, gram_for, main, parse_word, run_command
@@ -556,6 +558,42 @@ def test_verify_seed_env(tmp_path, monkeypatch):
     monkeypatch.setenv("AXIAL_SEED", "7")
     report, code = run_command(["verify", "identities", path, "--pairs", "2"])
     assert code == 0 and report.findings["seed"] == 7
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20240901])
+def test_verify_draws_triples_as_a_choice_from_every_permutation(tmp_path, monkeypatch, seed):
+    """The triples are those rng.choice draws from the list of all ordered triples, on a
+    Random in the same state, after the same pair draws, for 3 to 11 axes: Q^n, the
+    orthogonal idempotents e_i, on which every triple is checked."""
+    monkeypatch.setenv("AXIAL_SEED", str(seed))
+    for n in range(3, 12):
+        path = tmp_path / f"q{n}.json"
+        path.write_text(json.dumps({
+            "name": f"Q^{n}", "dimension": n, "basis": [f"e{i}" for i in range(n)],
+            "table": [[[str(int(i == j == k)) for k in range(n)] for j in range(n)]
+                      for i in range(n)],
+            "axes": [[str(int(i == j)) for j in range(n)] for i in range(n)]}))
+        report, code = run_command(["verify", "identities", str(path),
+                                    "--pairs", "2", "--triples", "40"])
+        assert code == 0, n
+        rng = random.Random(seed)
+        pairs = [list(rng.choice(list(itertools.combinations(range(n), 2)))) for _ in range(2)]
+        triples = [list(rng.choice(list(itertools.permutations(range(n), 3))))
+                   for _ in range(40)]
+        assert [r["pair"] for r in report.findings["pair_results"]] == pairs, n
+        assert [t["triple"] for t in report.findings["triple_results"]] == triples, n
+
+
+def test_verify_lists_no_permutations(tmp_path, monkeypatch):
+    """Triples are drawn with no list of all n(n - 1)(n - 2) of them."""
+    path = str(tmp_path / "s4.json")
+    assert run_command(["construct", "matsuo", "--sn", "4", "--out", path])[1] == 0
+
+    def listing(*args):
+        raise AssertionError("itertools.permutations called")
+    monkeypatch.setattr(cli.itertools, "permutations", listing)
+    report, code = run_command(["verify", "identities", path, "--triples", "5"])
+    assert code == 0 and len(report.findings["triple_results"]) == 5
 
 
 def test_word_axis(tmp_path):

@@ -23,10 +23,11 @@ from axialq import (
     word_to_axis,
     x_of,
 )
-from axialq.constructions import matsuo, sn_transpositions
+from axialq import jordanhalf
+from axialq.constructions import matrix_jordan, matsuo, sn_transpositions
 from axialq.errors import FormValueOne, NotSpanning, NotUnit, SameAxis
 
-from conftest import by_name, circle_axes
+from conftest import by_name, circle_axes, restricted_gram
 
 F = Fraction
 HALF = F(1, 2)
@@ -239,6 +240,33 @@ def test_build_unit_agrees_with_solver(algebras):
         assert e == info.unit, info.name
         checked += 1
     assert checked >= 8
+
+
+def test_unit_recursion_sub_forms_are_restrictions(algebras, monkeypatch):
+    """Each level of build_unit takes its form from the projection on its selected axes:
+    it equals the parent level's form restricted to A_0(a), in the basis of the span."""
+    forms, levels = {}, []
+    restrict, project = jordanhalf.restrict_to_subspace, jordanhalf.frobenius_projection
+
+    def restricting(A, span, axes):
+        sub, images = restrict(A, span, axes)
+        levels.append((A, span, sub))
+        return sub, images
+
+    def projecting(sub, axes):
+        forms[sub] = project(sub, axes)
+        return forms[sub]
+    monkeypatch.setattr(jordanhalf, "restrict_to_subspace", restricting)
+    monkeypatch.setattr(jordanhalf, "frobenius_projection", projecting)
+    cases = [(info.A, list(info.qd_basis), info.g) for info in algebras if info.qd_basis]
+    for A in (matsuo(sn_transpositions(5))[0], matrix_jordan(4)):
+        cases.append((A, list(A.designated_axes), frobenius_projection(A, A.designated_axes)))
+    for A, X, g in cases:
+        forms[A] = g
+        assert build_unit(A, X, g) == find_unit(A)
+    assert len(levels) == 16 + 3 + 3  # the registry's, then Matsuo(S5)'s and M4+'s
+    for A, span, sub in levels:
+        assert forms[sub] == restricted_gram(forms[A], span, sub)
 
 
 def test_build_unit_rejects_degenerate_algebra():
